@@ -150,8 +150,8 @@ class SequentialATPG:
         #: generate for the transition (at-speed) fault model.  ``None``
         #: routes through :func:`repro.sim.make_backend` with
         #: ``sim_backend`` (``auto`` picks the vector kernel for the
-        #: global multi-fault simulator and packed for the single-fault
-        #: search minis, where kernel setup would dominate).
+        #: global multi-fault simulator, and for the single-fault search
+        #: minis on circuits of ``AUTO_MIN_GATES`` gates or more).
         factory, backend = coerce_simulator_factory(
             simulator_factory, sim_backend, "SequentialATPG")
         self.simulator_factory = factory

@@ -212,10 +212,12 @@ def flow_overrides(spec: str, seed_offset: int = 0) -> Dict[str, object]:
     Applied by the CLI when the circuit argument is ``corpus:<name>``:
     reduced ATPG effort, no per-fault PODEM redundancy proofs (hours at
     this scale), and the automatic checkpoint-interval policy.  The
-    Section 2 completions are also off: PODEM justification costs about
-    a minute *per targeted fault* at 10k gates, and each scan-out
-    completion appends a whole chain flush (``flops + 1`` vectors —
-    535 at s15850), which the quadratic omission sweep then pays for.
+    Section 2 completions are also off: each scan-out completion
+    appends a whole chain flush (``flops + 1`` vectors — 535 at
+    s15850), which the quadratic omission sweep then pays for.  PODEM
+    justification stays off with them, although it costs only about
+    4 ms per detected and 0.15 s per aborted target on
+    ``synth_like("s9234")``.
     All but ``atpg``/``baseline``/``classify_redundant`` and the
     completion toggles are speed-only knobs.
     """

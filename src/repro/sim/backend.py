@@ -59,18 +59,23 @@ BACKEND_NAMES = (BACKEND_PACKED, BACKEND_VECTOR)
 #: Environment override consulted when no explicit name is given.
 BACKEND_ENV = "REPRO_SIM_BACKEND"
 
-#: ``auto`` keeps fault lists smaller than this on the packed backend:
-#: the single-fault mini sims of the ATPG beam search finish in
-#: microseconds either way, and kernel setup would dominate.
+#: ``auto`` keeps fault lists smaller than this on the packed backend
+#: unless the circuit is big enough (below).  Measured on a 16-gate
+#: scan circuit (Intel Xeon vCPU, Python 3.11, C engine), simulator
+#: build plus 32 stepped cycles: packed and vector tie at 1-4 fault
+#: machines, vector wins from 8 (1.5-2x at 16-32).
 AUTO_MIN_FAULTS = 16
 
-#: ...unless the circuit itself is big.  Above this gate count a packed
-#: Python step costs milliseconds even for one fault machine, while the
-#: kernel's levelized program is fingerprint-cached on the circuit
-#: object — every mini sim after the first reuses it, so setup no
-#: longer dominates and ``auto`` switches to ``vector`` regardless of
-#: fault count (measured ~5x per beam-search rollout at s9234 scale).
-AUTO_MIN_GATES = 4096
+#: ...or the circuit has at least this many gates.  Then even a single
+#: fault machine steps faster on the kernel, whose levelized program is
+#: fingerprint-cached on the circuit object, so every mini sim after
+#: the first reuses it.  Measured per beam-search candidate (restore,
+#: step, ``ff_effect_masks``, ``good_net_value``, save, with the build
+#: amortized over 160 candidates) on the same host: packed and vector
+#: tie at 16-20 gates; vector costs 11 against 13 us at 22 gates (s27
+#: scan), 13 against 31 us at 53 and 18 against 67 us at 123 (s386);
+#: packed wins below 16 gates (7 against 10 us at 6 gates).
+AUTO_MIN_GATES = 20
 
 
 @runtime_checkable

@@ -591,11 +591,10 @@ class VectorFaultSimulator:
 
     def machine_state(self, machine: int) -> Tuple[int, ...]:
         """Scalar flip-flop values of one machine (0 = fault-free)."""
-        word, bit = machine >> 6, np.uint64(machine & 63)
-        ones = (self._state[:, 0, word] >> bit) & np.uint64(1)
-        zeros = (self._state[:, 1, word] >> bit) & np.uint64(1)
-        return tuple(ONE if o else (ZERO if z else X)
-                     for o, z in zip(ones, zeros))
+        word, bit = machine >> 6, machine & 63
+        return tuple(
+            ONE if ones >> bit & 1 else (ZERO if zeros >> bit & 1 else X)
+            for ones, zeros in self._state[:, :, word].tolist())
 
     def load_machine_states(self, states: Sequence[Sequence[int]]) -> None:
         """Load a distinct scalar state per machine (packed contract)."""
@@ -621,18 +620,24 @@ class VectorFaultSimulator:
 
     def ff_effect_masks(self) -> List[int]:
         """Per flip-flop: machines holding the opposite binary value of
-        the fault-free machine (packed contract)."""
-        result = []
-        one = np.uint64(1)
-        for i in range(len(self._state)):
-            ones, zeros = self._state[i, 0], self._state[i, 1]
-            if ones[0] & one:
-                result.append(_words_to_int(zeros) & self.fault_mask)
-            elif zeros[0] & one:
-                result.append(_words_to_int(ones) & self.fault_mask)
-            else:
-                result.append(0)
-        return result
+        the fault-free machine (packed contract).
+
+        The state planes become Python ints in one conversion (one
+        ``tolist`` at W=1, one ``tobytes`` otherwise) rather than
+        through per-flop numpy scalar reads.
+        """
+        if self.W == 1:
+            planes = self._state[:, :, 0].reshape(-1).tolist()
+        else:
+            raw = self._state.astype("<u8", copy=False).tobytes()
+            wb = self.W * 8
+            planes = [int.from_bytes(raw[i:i + wb], "little")
+                      for i in range(0, len(raw), wb)]
+        mask = self.fault_mask
+        rows = iter(planes)
+        return [(zeros & mask) if ones & 1 else
+                ((ones & mask) if zeros & 1 else 0)
+                for ones, zeros in zip(rows, rows)]
 
     # -- simulation ------------------------------------------------------------
 
@@ -641,13 +646,26 @@ class VectorFaultSimulator:
             vector = vector_from_string(vector)
         return np.asarray(vector, dtype=np.uint8)
 
+    def _vector_bytes(self, vector: Sequence[int]) -> bytes:
+        """The vector as the uint8 buffer the C engine reads; ctypes
+        passes a ``bytes`` argument as a pointer to its data, which is
+        cheaper than building an array and its ctypes view."""
+        if isinstance(vector, (tuple, list)):
+            buf = bytes(vector)
+        else:
+            buf = self._vector_array(vector).tobytes()
+        if len(buf) < len(self._pis):
+            # the C step reads one byte per primary input
+            raise ValueError(f"vector has {len(buf)} values for "
+                             f"{len(self._pis)} primary inputs")
+        return buf
+
     def step(self, vector: Sequence[int]) -> int:
         """Apply one vector; return this cycle's detection mask
         (bit-identical to the packed simulator's)."""
-        vec = self._vector_array(vector)
         if self._lib is not None:
             self._lib.repro_step(
-                *self._head_args, ctypes.c_void_p(vec.ctypes.data),
+                *self._head_args, self._vector_bytes(vector),
                 *self._tail_args, self._state_ptr, self._state_scratch_ptr,
                 self._det_ptr)
             self._state, self._state_scratch = (
@@ -655,7 +673,7 @@ class VectorFaultSimulator:
             self._state_ptr, self._state_scratch_ptr = (
                 self._state_scratch_ptr, self._state_ptr)
         else:
-            self._step_numpy(vec)
+            self._step_numpy(self._vector_array(vector))
         self.time += 1
         return _words_to_int(self._det) & self.fault_mask
 

@@ -336,6 +336,78 @@ def test_auto_picks_vector_for_big_circuits(monkeypatch):
         BACKEND_AUTO, 1, AUTO_MIN_GATES - 1) == BACKEND_PACKED
 
 
+@requires_numpy
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("num_faults", [1, 40, 63, 64, 150])
+def test_flop_state_queries_match_packed(engine, num_faults):
+    """``ff_effect_masks`` / ``machine_state`` read the planes in one
+    conversion; they must equal the packed reference at W=1 (up to 63
+    faults) and at multi-word widths, after per-machine loads and
+    after stepping."""
+    circuit = insert_scan(random_circuit("ffq", 4, 9, 60, seed=5)).circuit
+    faults = collapse_faults(circuit)[:num_faults]
+    packed = PackedFaultSimulator(circuit, faults)
+    vector = _vector_sim(circuit, faults, engine)
+    assert vector.W == (len(faults) + 64) // 64
+    rng = random.Random(num_faults)
+    states = [tuple(rng.choice((0, 1, 2)) for _ in circuit.flops)
+              for _ in range(len(faults) + 1)]
+    packed.load_machine_states(states)
+    vector.load_machine_states(states)
+    for vec in [None] + random_vectors(circuit, 6, seed=num_faults):
+        if vec is not None:
+            assert vector.step(vec) == packed.step(vec)
+        assert vector.ff_effect_masks() == packed.ff_effect_masks()
+        for machine in (0, 1, len(faults) // 2, len(faults)):
+            assert vector.machine_state(machine) == \
+                packed.machine_state(machine)
+
+
+@pytest.mark.skipif("c" not in ENGINES, reason="no C engine")
+def test_c_step_rejects_short_vectors():
+    """The C step reads one byte per primary input: a short vector must
+    raise instead of reading past its buffer."""
+    circuit = s27()
+    sim = _vector_sim(circuit, collapse_faults(circuit)[:1], "c")
+    with pytest.raises(ValueError, match="primary inputs"):
+        sim.step((0,) * (circuit.num_inputs - 1))
+    sim.step((0,) * circuit.num_inputs)
+
+
+@pytest.mark.skipif(not vector_available(),
+                    reason="vector backend unavailable")
+def test_seq_atpg_auto_minis_bit_identical_to_packed(monkeypatch):
+    """On s386 (123 scan gates, above ``AUTO_MIN_GATES``) ``auto`` runs
+    the beam-search minis on the kernel; sequences, detection times and
+    aborts must equal an all-packed run."""
+    from repro.atpg import SequentialATPG
+    from repro.experiments import suite
+    from repro.sim.backend import AUTO_MIN_GATES
+
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    circuit = insert_scan(suite.build_circuit("s386")).circuit
+    assert circuit.num_gates >= AUTO_MIN_GATES
+    faults = collapse_faults(circuit)
+    config = suite.atpg_config_for("s386")
+    results = {}
+    for name in (BACKEND_PACKED, BACKEND_AUTO):
+        with obs.session() as telemetry:
+            results[name] = SequentialATPG(
+                circuit, faults, config=config, sim_backend=name).generate()
+        counters = telemetry.metrics.snapshot()["counters"]
+        if name == BACKEND_AUTO:
+            # the global simulator plus at least one mini per target
+            assert counters["faultsim.backend.vector"] > 1
+            assert "faultsim.backend.packed" not in counters
+        else:
+            assert "faultsim.backend.vector" not in counters
+    packed, auto = results[BACKEND_PACKED], results[BACKEND_AUTO]
+    assert auto.sequence.vectors == packed.sequence.vectors
+    assert auto.detection_time == packed.detection_time
+    assert list(auto.detection_time) == list(packed.detection_time)
+    assert auto.aborted == packed.aborted
+
+
 def test_auto_degrades_without_numpy(monkeypatch):
     monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
     assert resolve_concrete_backend(BACKEND_AUTO, 10_000) == BACKEND_PACKED
