@@ -72,14 +72,12 @@ def run():
         list(results["packed"].detection_time), "dict order diverged"
 
     vectors = _vectors(circuit, PARALLEL_VECTORS, seed=8)
-    session = SimSession(circuit, faults, sim_backend="auto",
-                         checkpoint_interval=0)
+    session = SimSession(circuit, faults, checkpoint_interval=0)
     with obs.span("bench_corpus.serial"):
         start = time.perf_counter()
         serial = session.detection_times(vectors)
         seconds["serial"] = time.perf_counter() - start
-    engine = ParallelFaultSim(circuit, faults, jobs=JOBS,
-                              sim_backend="auto")
+    engine = ParallelFaultSim(circuit, faults, jobs=JOBS)
     try:
         with obs.span(f"bench_corpus.jobs{JOBS}"):
             start = time.perf_counter()

@@ -72,7 +72,6 @@ def bench_vector_fault_sim(benchmark, scale):
 
     benchmark(run)
     benchmark.extra_info["faults"] = len(faults)
-    benchmark.extra_info["engine"] = sim.engine
 
 
 def bench_vector_speedup_floor(benchmark):

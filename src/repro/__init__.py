@@ -18,8 +18,7 @@ Quick start::
 
 :class:`FlowConfig` is the single configuration object for both flows
 (seed, scan chains, Section 2 knowledge toggles, compaction switches and
-the incremental fault-simulation tuning); the historical per-flow
-keyword arguments still work but emit :class:`DeprecationWarning`.
+the speed knobs); the flows accept nothing else.
 
 Layering (see DESIGN.md):
 

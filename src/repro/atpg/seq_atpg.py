@@ -35,7 +35,7 @@ from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..obs import context as obs
 from ..obs import ledger
-from ..sim.backend import SimBackend, coerce_simulator_factory, make_backend
+from ..sim.backend import SimBackend, make_backend
 from ..testseq.sequences import TestSequence
 
 
@@ -132,7 +132,6 @@ class SequentialATPG:
         completion_hook: Optional[CompletionHook] = None,
         targets: Optional[Sequence[Fault]] = None,
         simulator_factory=None,
-        sim_backend: Optional[str] = None,
     ):
         self.circuit = circuit
         self.faults = list(faults)
@@ -148,14 +147,11 @@ class SequentialATPG:
                              f"{sorted(map(str, unknown))[:4]}")
         #: Builds simulators; swap in PackedTransitionSimulator to
         #: generate for the transition (at-speed) fault model.  ``None``
-        #: routes through :func:`repro.sim.make_backend` with
-        #: ``sim_backend`` (``auto`` picks the vector kernel for the
-        #: global multi-fault simulator, and for the single-fault search
-        #: minis on circuits of ``AUTO_MIN_GATES`` gates or more).
-        factory, backend = coerce_simulator_factory(
-            simulator_factory, sim_backend, "SequentialATPG")
-        self.simulator_factory = factory
-        self.sim_backend = backend
+        #: routes through :func:`repro.sim.make_backend`, which picks the
+        #: vector kernel for the global multi-fault simulator, and for
+        #: the single-fault search minis on circuits of
+        #: ``AUTO_MIN_GATES`` gates or more.
+        self.simulator_factory = simulator_factory
         self._rng = random.Random(self.config.seed)
         self._num_inputs = circuit.num_inputs
         # fault -> machine position for the current global simulator;
@@ -175,7 +171,7 @@ class SequentialATPG:
         given, otherwise backend selection sized to the fault list."""
         if self.simulator_factory is not None:
             return self.simulator_factory(self.circuit, list(faults))
-        return make_backend(self.circuit, list(faults), self.sim_backend)
+        return make_backend(self.circuit, list(faults))
 
     # -- public entry ---------------------------------------------------------
 

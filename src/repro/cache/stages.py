@@ -19,10 +19,11 @@ compact       input sequence, fault universe, omission pass budget
 detection     fault universe, vector sequence (full-universe times only)
 ============  =============================================================
 
-Knobs that cannot change the bits of a result — ``checkpoint_interval``,
-``incremental``, ``jobs`` (all proven bit-identical by the tier-1
-suite) and ``cache_dir`` itself — are deliberately absent from every
-key, so a warm restart hits regardless of how the cold run was tuned.
+Knobs that cannot change the bits of a result — the
+:data:`~repro.core.config.SPEED_FIELDS` of ``FlowConfig`` (proven
+bit-identical by the tier-1 suite), ``cache_dir`` itself among them —
+are deliberately absent from every key, so a warm restart hits
+regardless of how the cold run was tuned.
 
 Each stage key also carries a small stage version constant; bumping it
 (when an engine's algorithm changes) orphans that stage's entries

@@ -167,7 +167,6 @@ def _flow_config(args: argparse.Namespace, **overrides) -> FlowConfig:
         checkpoint_interval=interval,
         jobs=args.jobs,
         cache_dir=_cache_dir(args),
-        sim_backend=getattr(args, "sim_backend", None),
         run_index=_run_index_arg(args),
         **corpus_over,
     )
@@ -678,12 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist stage results to the content-addressed store "
              "under DIR and replay them on warm runs (bare --cache = "
              "$REPRO_CACHE or .repro-cache)")
-    flow_group.add_argument(
-        "--sim-backend", choices=["auto", "packed", "vector"], default=None,
-        help="fault-simulation backend (default: $REPRO_SIM_BACKEND or "
-             "auto; backends are bit-identical — auto picks the "
-             "vectorized kernel when numpy and a C compiler are "
-             "available, else the packed reference)")
     flow_group.add_argument(
         "--run-index", nargs="?", const="", default=None, metavar="DB",
         help="append a run record to the SQLite run index DB when the "

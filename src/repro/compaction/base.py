@@ -30,11 +30,10 @@ Queries issued while faults are dropped also stay on the session.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..circuit.netlist import Circuit
 from ..faults.model import Fault
-from ..sim.backend import coerce_simulator_factory
 from ..sim.session import SimSession
 
 
@@ -43,11 +42,10 @@ class CompactionOracle:
 
     ``checkpoint_interval`` and ``incremental`` tune the underlying
     :class:`SimSession`; ``incremental=False`` restarts every query from
-    cycle 0 (the baseline the perf guards measure against).
-    ``sim_backend`` names the simulation backend (``"auto"`` resolves by
-    availability; every standard backend is bit-identical, so this knob
-    never changes result bits); ``simulator_factory`` overrides it with
-    a custom API-compatible factory.
+    cycle 0 (the baseline the perf guards measure against).  The
+    simulation backend is chosen by the session (every standard backend
+    is bit-identical); ``simulator_factory`` overrides it with a custom
+    API-compatible factory.
     """
 
     def __init__(self, circuit: Circuit, faults: Sequence[Fault],
@@ -55,28 +53,21 @@ class CompactionOracle:
                  checkpoint_interval: int = 4,
                  incremental: bool = True,
                  jobs: int = 1,
-                 store=None,
-                 sim_backend: Optional[str] = None):
+                 store=None):
         self.circuit = circuit
         self.faults = list(faults)
-        factory, backend = coerce_simulator_factory(
-            simulator_factory, sim_backend, "CompactionOracle")
         #: True when simulation runs on a standard (stuck-at, bit-exact)
         #: backend rather than a custom factory — the gate for both the
         #: result cache and the parallel engine below.
-        self._standard = factory is None
-        self._factory = factory
-        self._backend = backend
+        self._standard = simulator_factory is None
         self.session = SimSession(
             circuit,
             self.faults,
             checkpoint_interval=checkpoint_interval,
-            simulator_factory=factory,
-            sim_backend=backend,
+            simulator_factory=simulator_factory,
             incremental=incremental,
         )
         self._position = {f: i + 1 for i, f in enumerate(self.faults)}
-        self._raw_sim = None
         self.jobs = jobs
         self._checkpoint_interval = checkpoint_interval
         self._parallel = None
@@ -213,36 +204,20 @@ class CompactionOracle:
         self,
         vectors: Sequence[Sequence[int]],
         target_mask: Optional[int] = None,
-        initial_state=None,
     ) -> int:
         """Mask of targets detected by ``vectors``.
 
         ``target_mask`` limits interest (enables early exit once all of
-        them fall).  ``initial_state`` is a raw simulator snapshot (from
-        :meth:`reset_checkpoint`/:meth:`advance`) to start from instead
-        of the all-X reset state — a legacy path that bypasses the
-        incremental session.
-        """
-        if initial_state is not None:
-            sim = self.sim
-            sim.restore_state(initial_state)
-            wanted = sim.fault_mask if target_mask is None else target_mask
-            seen = 0
-            for vector in vectors:
-                seen |= sim.step(vector)
-                if wanted & ~seen == 0:
-                    break
-            return seen & wanted
+        them fall)."""
         return self.session.detected_mask(vectors, target_mask)
 
     def detects_all(
         self,
         vectors: Sequence[Sequence[int]],
         target_mask: int,
-        initial_state=None,
     ) -> bool:
         """Does the sequence detect every fault in ``target_mask``?"""
-        return self.detected_mask(vectors, target_mask, initial_state) == target_mask
+        return self.detected_mask(vectors, target_mask) == target_mask
 
     # -- fault dropping ------------------------------------------------------
 
@@ -267,31 +242,3 @@ class CompactionOracle:
             self._parallel = None
         return self.session.close()
 
-    # -- legacy checkpoints --------------------------------------------------
-
-    @property
-    def sim(self):
-        """A raw (non-incremental) simulator for the legacy token-based
-        checkpoint API; built on first use."""
-        if self._raw_sim is None:
-            if self._factory is not None:
-                self._raw_sim = self._factory(self.circuit, self.faults)
-            else:
-                from ..sim.backend import make_backend
-
-                self._raw_sim = make_backend(
-                    self.circuit, self.faults, self.session.sim_backend)
-        return self._raw_sim
-
-    def reset_checkpoint(self) -> Tuple:
-        """A snapshot of the power-up (all-X) state."""
-        self.sim.reset()
-        return self.sim.save_state()
-
-    def advance(self, checkpoint, vector) -> Tuple[Tuple, int]:
-        """Extend a checkpoint by one vector; returns the new checkpoint
-        and the mask detected during that cycle."""
-        sim = self.sim
-        sim.restore_state(checkpoint)
-        detected = sim.step(vector)
-        return sim.save_state(), detected

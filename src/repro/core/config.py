@@ -5,13 +5,8 @@
 :func:`~repro.core.pipeline.translation_flow`).  It replaces the
 spread-out keyword signatures those functions grew: one frozen dataclass
 carries the seed, scan-chain count, the Section 2 knowledge toggles, the
-Section 4 compaction switches and the incremental fault-simulation
-tuning, so a whole experiment is reproducible from one value.
-
-The flows still accept the historical keyword arguments (``seed=``,
-``compact=``, ...) through a shim that maps them onto a ``FlowConfig``
-and emits :class:`DeprecationWarning`; new code should build the config
-explicitly::
+Section 4 compaction switches and the speed knobs, so a whole
+experiment is reproducible from one value::
 
     from repro import FlowConfig, generation_flow
 
@@ -20,16 +15,27 @@ explicitly::
 
 ``FlowConfig`` is frozen; derive variants with :meth:`FlowConfig.replace`
 (a thin wrapper over :func:`dataclasses.replace`).
+
+Which simulation backend runs is not a configuration choice: the code
+picks it from what it can observe (see :mod:`repro.sim.backend`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Optional
 
 from ..atpg.seq_atpg import SeqATPGConfig
+
+#: The result-neutral ``FlowConfig`` fields: they only change how fast
+#: (or where) a bit-identical result is computed.  Every other field is
+#: semantic and feeds the run-config fingerprint
+#: (:func:`repro.obs.history.run_config_fingerprint`) that keys the run
+#: history and the serve daemon's dedup; the result cache's stage keys
+#: never see these fields either.  One declaration, so all three agree.
+SPEED_FIELDS = frozenset({"checkpoint_interval", "jobs", "cache_dir",
+                          "run_index"})
 
 
 @dataclass(frozen=True)
@@ -59,22 +65,12 @@ class FlowConfig:
     #: length, memory-bounded via ``REPRO_CHECKPOINT_MB``).  A pure
     #: speed/memory knob: results are bit-identical at every value.
     checkpoint_interval: int = 4
-    #: Resume compaction queries from checkpoints; ``False`` forces the
-    #: cycle-0-restart baseline (for perf comparisons).
-    incremental: bool = True
     #: Worker processes for fault-sharded parallel simulation of the
     #: heavy full-universe queries (see :mod:`repro.parallel`).  ``0``
     #: defers to the ``REPRO_JOBS`` environment variable, defaulting to
     #: serial; ``1`` forces serial.  Results are bit-identical at every
     #: value.
     jobs: int = 0
-    #: Fault-simulation backend: ``"auto"`` (pick the vectorized kernel
-    #: when it is available and would win, else the packed reference),
-    #: ``"packed"``, or ``"vector"``.  ``None`` defers to the
-    #: ``REPRO_SIM_BACKEND`` environment variable, defaulting to
-    #: ``auto``.  Backends are bit-identical — like ``jobs``, this knob
-    #: cannot change result bits (see :mod:`repro.sim.backend`).
-    sim_backend: Optional[str] = None
     #: Root directory of the content-addressed result store (see
     #: :mod:`repro.cache`).  ``None`` defers to the ``REPRO_CACHE``
     #: environment variable; empty/unset both means caching off.  Like
@@ -104,10 +100,6 @@ class FlowConfig:
             raise ValueError("num_chains must be >= 1")
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0 (0 = REPRO_JOBS/serial)")
-        if self.sim_backend is not None:
-            from ..sim.backend import resolve_backend_name
-
-            resolve_backend_name(self.sim_backend)  # raises on bad names
 
     def replace(self, **changes: Any) -> "FlowConfig":
         """A copy with ``changes`` applied (the config is frozen)."""
@@ -123,13 +115,6 @@ class FlowConfig:
         from ..parallel.plan import resolve_jobs
 
         return resolve_jobs(self.jobs)
-
-    def effective_sim_backend(self) -> str:
-        """``sim_backend`` with the ``None -> REPRO_SIM_BACKEND -> auto``
-        rule applied (see :func:`repro.sim.backend.resolve_backend_name`)."""
-        from ..sim.backend import resolve_backend_name
-
-        return resolve_backend_name(self.sim_backend)
 
     def effective_cache_dir(self):
         """``cache_dir`` with the ``None -> REPRO_CACHE -> off`` rule
@@ -160,100 +145,3 @@ class FlowConfig:
 
         return resolve_run_index(self.run_index)
 
-
-#: legacy keyword -> FlowConfig field
-_LEGACY_FIELDS = {
-    "seed": "seed",
-    "num_chains": "num_chains",
-    "compact": "compact",
-    "classify_redundant": "classify_redundant",
-    "use_scan_knowledge": "use_scan_knowledge",
-    "use_justification": "use_justification",
-    "redundancy_backtrack_limit": "redundancy_backtrack_limit",
-    "config": "atpg",
-    "baseline_config": "baseline",
-}
-
-
-def coerce_flow_config(
-    name: str,
-    config: Any,
-    legacy: Mapping[str, Any],
-    allowed: frozenset,
-) -> FlowConfig:
-    """Resolve a flow's ``(config, **legacy)`` arguments to a FlowConfig.
-
-    Accepts, in order of preference:
-
-    * a :class:`FlowConfig` (the new API; no other keywords allowed),
-    * nothing — defaults,
-    * the historical keyword arguments (``seed=``, ``compact=``, ...),
-      possibly with a legacy engine config passed as ``config=`` or an
-      ``int`` seed passed positionally — these emit
-      :class:`DeprecationWarning` and map onto a FlowConfig.
-
-    ``allowed`` is the set of legacy keyword names the calling flow
-    historically accepted; anything else raises :class:`TypeError`.
-    """
-    if isinstance(config, FlowConfig):
-        if legacy:
-            raise TypeError(
-                f"{name}() got both a FlowConfig and legacy keyword "
-                f"arguments {sorted(legacy)}; fold them into the config "
-                f"(FlowConfig.replace(...))"
-            )
-        return config
-
-    fields: Dict[str, Any] = {}
-    if isinstance(config, int):
-        # Historical positional seed: generation_flow(circuit, 3).
-        fields["seed"] = config
-    elif isinstance(config, SeqATPGConfig):
-        # Historical generation_flow(circuit, config=SeqATPGConfig(...)).
-        fields["atpg"] = config
-    elif config is not None:
-        raise TypeError(
-            f"{name}() config must be a FlowConfig (or a legacy "
-            f"SeqATPGConfig/int seed), got {type(config).__name__}"
-        )
-
-    unknown = set(legacy) - allowed
-    if unknown:
-        raise TypeError(
-            f"{name}() got unexpected keyword arguments {sorted(unknown)}"
-        )
-    for key, value in legacy.items():
-        field = _LEGACY_FIELDS[key]
-        if field in fields:
-            raise TypeError(f"{name}() got duplicate values for '{field}'")
-        fields[field] = value
-
-    if fields:
-        warnings.warn(
-            f"passing individual keyword arguments to {name}() is "
-            f"deprecated; pass a FlowConfig instead "
-            f"(e.g. {name}(circuit, FlowConfig(seed=...)))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return FlowConfig(**fields)
-
-
-#: Legacy keywords generation_flow historically accepted.
-GENERATION_LEGACY = frozenset(
-    {
-        "seed",
-        "config",
-        "compact",
-        "classify_redundant",
-        "use_scan_knowledge",
-        "use_justification",
-        "num_chains",
-        "redundancy_backtrack_limit",
-    }
-)
-
-#: Legacy keywords translation_flow historically accepted.
-TRANSLATION_LEGACY = frozenset(
-    {"seed", "baseline_config", "compact", "num_chains"}
-)

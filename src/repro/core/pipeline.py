@@ -31,12 +31,7 @@ from ..faults.model import Fault
 from ..obs import context as obs
 from ..obs import ledger
 from ..obs.history import maybe_test_sleep, record_flow_run
-from .config import (
-    GENERATION_LEGACY,
-    TRANSLATION_LEGACY,
-    FlowConfig,
-    coerce_flow_config,
-)
+from .config import FlowConfig
 from .scan_aware import ScanATPGResult, ScanAwareATPG
 
 if False:  # pragma: no cover - import-time cycle avoidance; see TYPE notes
@@ -114,19 +109,14 @@ class GenerationFlowResult:
 def generation_flow(
     circuit: Circuit,
     config: Optional[FlowConfig] = None,
-    **legacy,
 ) -> GenerationFlowResult:
     """Run Section 2 generation (+ Section 4 compaction) on ``circuit``.
 
     ``circuit`` is the *non-scan* circuit; scan insertion, fault
     enumeration/collapsing and everything downstream happen here.
-    ``config`` is a :class:`FlowConfig`; the historical keyword
-    arguments (``seed=``, ``compact=``, ...) are still accepted through
-    a deprecated shim that maps them onto one.
+    ``config`` is a :class:`FlowConfig` (``None`` means defaults).
     """
-    cfg = coerce_flow_config(
-        "generation_flow", config, legacy, GENERATION_LEGACY
-    )
+    cfg = _flow_config("generation_flow", config)
     store = _flow_store(cfg)
     with obs.stopwatch("pipeline.generation") as root:
         obs.event("progress.plan", flow="generation",
@@ -152,7 +142,6 @@ def generation_flow(
                     config=cfg.atpg_config(),
                     use_scan_knowledge=cfg.use_scan_knowledge,
                     use_justification=cfg.use_justification,
-                    sim_backend=cfg.sim_backend,
                 ).generate()
                 stages.save_generation_atpg(cfg, faults, atpg)
         result = GenerationFlowResult(
@@ -238,21 +227,17 @@ def translation_flow(
     circuit: Circuit,
     config: Optional[FlowConfig] = None,
     baseline=None,
-    **legacy,
 ) -> TranslationFlowResult:
     """Run the Section 3 experiment on ``circuit`` (see module docstring).
 
     ``config`` is a :class:`FlowConfig` (its ``baseline`` field holds
-    the conventional-ATPG configuration); the historical keyword
-    arguments go through the same deprecated shim as
-    :func:`generation_flow`.  A precomputed ``baseline`` *result* may be
-    passed to share it with a Table 6 run on the same circuit.
+    the conventional-ATPG configuration).  A precomputed ``baseline``
+    *result* may be passed to share it with a Table 6 run on the same
+    circuit.
     """
     from ..atpg.scan_seq import SecondApproachATPG, SecondApproachConfig
 
-    cfg = coerce_flow_config(
-        "translation_flow", config, legacy, TRANSLATION_LEGACY
-    )
+    cfg = _flow_config("translation_flow", config)
     store = _flow_store(cfg)
     with obs.stopwatch("pipeline.translation") as root:
         obs.event("progress.plan", flow="translation",
@@ -396,13 +381,20 @@ def _compact_into(
     result.omitted = omitted
 
 
+def _flow_config(name: str, config: Optional[FlowConfig]) -> FlowConfig:
+    if config is None:
+        return FlowConfig()
+    if not isinstance(config, FlowConfig):
+        raise TypeError(f"{name}() config must be a FlowConfig, got "
+                        f"{type(config).__name__}")
+    return config
+
+
 def _make_oracle(circuit: Circuit, faults, cfg: FlowConfig, store):
     return CompactionOracle(
         circuit,
         faults,
         checkpoint_interval=cfg.checkpoint_interval,
-        incremental=cfg.incremental,
         jobs=cfg.effective_jobs(),
         store=store,
-        sim_backend=cfg.sim_backend,
     )

@@ -113,7 +113,6 @@ class ScanAwareATPG:
         verify_retries: int = 3,
         podem_backtrack_limit: int = 400,
         simulator_factory=None,
-        sim_backend: Optional[str] = None,
     ):
         self.scan_circuit = scan_circuit
         circuit = scan_circuit.circuit
@@ -124,12 +123,11 @@ class ScanAwareATPG:
         self.use_justification = use_justification
         self.use_dominance = use_dominance
         self.verify_retries = verify_retries
-        #: None = stuck-at via backend selection (``sim_backend``).  Pass
+        #: None = stuck-at via automatic backend selection.  Pass
         #: PackedTransitionSimulator (with TransitionFault targets and
         #: use_justification=False — PODEM is stuck-at-only) for at-speed
         #: transition-fault generation.
         self.simulator_factory = simulator_factory
-        self.sim_backend = sim_backend
         self._rng = random.Random(self.config.seed ^ 0x5CA9)
         self._input_index = {net: i for i, net in enumerate(circuit.inputs)}
         self._sel_idx = self._input_index[scan_circuit.scan_select]
@@ -156,13 +154,10 @@ class ScanAwareATPG:
             # Reduced targets first; dominated faults last (they usually
             # fall to fault dropping once their coverers are tested).
             targets = reduced + [f for f in self.faults if f in covered]
-        factory_kwargs = {}
-        if self.simulator_factory is not None:
-            factory_kwargs["simulator_factory"] = self.simulator_factory
         engine = SequentialATPG(
             self.circuit, self.faults, config=self.config,
             completion_hook=hook, targets=targets,
-            sim_backend=self.sim_backend, **factory_kwargs,
+            simulator_factory=self.simulator_factory,
         )
         base = engine.generate()
         confirmed = set(base.hook_detected)

@@ -10,15 +10,15 @@ index:
 * identity — circuit name, the canonical circuit fingerprint from
   :mod:`repro.cache.fingerprint`, and a **run config fingerprint** over
   the semantically relevant :class:`~repro.core.config.FlowConfig`
-  knobs (speed-only knobs — ``jobs``, ``checkpoint_interval``,
-  ``incremental``, ``cache_dir``, ``sim_backend``, ``run_index`` — are
+  knobs (the speed-only :data:`~repro.core.config.SPEED_FIELDS` are
   excluded by construction, exactly like the result cache's stage
   keys: two runs with the same fingerprints are expected to produce
   bit-identical deterministic counters);
 * outcome — the final metrics snapshot (counters / gauges /
   histograms), the per-phase span aggregate, and a journal summary
   (phases, shard stats, cache hit rates, coverage / cycles);
-* provenance — backend, effective jobs, platform, python and git rev,
+* provenance — the fault-simulation backend(s) that actually ran,
+  effective jobs, platform, python and git rev,
   wall-clock seconds and a creation timestamp.
 
 The index follows the same durability contract as :mod:`repro.cache`:
@@ -141,31 +141,22 @@ def run_config_fingerprint(cfg, flow: str = "generation",
     """Fingerprint of the semantically relevant flow configuration.
 
     Mirrors the result cache's convention: knobs that cannot change the
-    bits of a result (``jobs``, ``checkpoint_interval``,
-    ``incremental``, ``cache_dir``, ``sim_backend``, ``run_index``) are
+    bits of a result (:data:`~repro.core.config.SPEED_FIELDS`) are
     excluded by construction, so records group by *what* was computed,
     not how fast.  The flow name is part of the key: a generation and a
     translation run of the same config compute different things and
     must not land in one trend group."""
-    from dataclasses import asdict
+    from dataclasses import asdict, fields
 
     from ..cache.fingerprint import config_fingerprint
+    from ..core.config import SPEED_FIELDS
 
-    return config_fingerprint(
-        "run",
-        flow=flow,
-        seed=cfg.seed,
-        num_chains=cfg.num_chains,
-        compact=cfg.compact,
-        classify_redundant=cfg.classify_redundant,
-        use_scan_knowledge=cfg.use_scan_knowledge,
-        use_justification=cfg.use_justification,
-        redundancy_backtrack_limit=cfg.redundancy_backtrack_limit,
-        max_omission_passes=cfg.max_omission_passes,
-        atpg=asdict(cfg.atpg) if cfg.atpg is not None else None,
-        baseline=asdict(cfg.baseline) if cfg.baseline is not None else None,
-        scan=scan_fp,
-    )
+    knobs = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+             if f.name not in SPEED_FIELDS}
+    for name in ("atpg", "baseline"):  # engine-config dataclasses
+        if knobs[name] is not None:
+            knobs[name] = asdict(knobs[name])
+    return config_fingerprint("run", flow=flow, scan=scan_fp, **knobs)
 
 
 def _git_rev() -> str:
@@ -593,15 +584,16 @@ def record_flow_run(cfg, circuit, flow: str,
             return None
         from ..cache.fingerprint import circuit_fingerprint
 
+        telemetry = obs.active()
         record = build_run_record(
             circuit_name=circuit.name,
             circuit_fp=circuit_fingerprint(circuit),
             config_fp=run_config_fingerprint(cfg, flow=flow),
             flow=flow,
             wall_seconds=wall_seconds,
-            backend=cfg.effective_sim_backend(),
+            backend=_backends_run(telemetry),
             jobs=cfg.effective_jobs(),
-            telemetry=obs.active(),
+            telemetry=telemetry,
         )
         return RunIndex(path).append(record)
     except Exception:
@@ -609,6 +601,19 @@ def record_flow_run(cfg, circuit, flow: str,
         # not take the flow down with it.
         RunIndex._count_error("record")
         return None
+
+
+def _backends_run(telemetry) -> str:
+    """The concrete fault-simulation backend(s) the session built, from
+    its ``faultsim.backend.<name>`` counters (``"packed+vector"`` when
+    both ran; ``""`` without a telemetry session)."""
+    if telemetry is None:
+        return ""
+    from ..sim.backend import BACKEND_NAMES
+
+    counters = telemetry.metrics.snapshot()["counters"]
+    return "+".join(name for name in BACKEND_NAMES
+                    if counters.get(f"faultsim.backend.{name}"))
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,9 @@ class ParallelFaultSim:
     timeout / max_retries / start_method:
         Forwarded to the :class:`ResilientPool` (hang detector seconds,
         pool attempts per shard, multiprocessing start method).
+    sim_backend:
+        ``None`` resolves the backend automatically; a concrete name
+        pins it (the compaction oracle passes its session's pin).
     """
 
     def __init__(

@@ -12,8 +12,7 @@ flow)`` — rejecting unknown config keys and malformed circuits with
 :class:`SubmissionError` (the HTTP layer's 400) — and
 :func:`job_fingerprints` derives the **dedup key**: the PR-5 circuit
 fingerprint paired with the PR-8 run-config fingerprint.  The latter
-excludes speed knobs (``jobs``, ``checkpoint_interval``,
-``incremental``, ``cache_dir``, ``sim_backend``, ``run_index``) by
+excludes the speed knobs (:data:`~repro.core.config.SPEED_FIELDS`) by
 construction, so two payloads that differ only in how fast to compute
 collapse onto one job, while any semantic knob splits the key.
 
@@ -55,20 +54,14 @@ from ..obs.history import run_config_fingerprint
 #: Flow names a submission may request.
 FLOWS = ("generation", "translation")
 
-#: FlowConfig fields a submission's ``config`` object may set.  The
-#: engine-config objects (``atpg``/``baseline``) are deliberately not
-#: accepted over the wire — they are derived from ``seed`` exactly as
-#: the CLI derives them.
-CONFIG_FIELDS = frozenset({
-    "seed", "num_chains", "compact", "classify_redundant",
-    "use_scan_knowledge", "use_justification",
-    "redundancy_backtrack_limit", "max_omission_passes",
-    # speed knobs: accepted (clients may tune them) but excluded from
-    # the dedup key by run_config_fingerprint's construction; cache_dir
-    # and run_index are additionally overridden by the server.
-    "jobs", "checkpoint_interval", "incremental", "sim_backend",
-    "cache_dir", "run_index",
-})
+#: FlowConfig fields a submission's ``config`` object may set: all but
+#: the engine-config objects (``atpg``/``baseline``), which are derived
+#: from ``seed`` exactly as the CLI derives them.  The speed knobs
+#: (:data:`~repro.core.config.SPEED_FIELDS`) are accepted but stay out
+#: of the dedup key; ``cache_dir`` and ``run_index`` are additionally
+#: overridden by the server.
+CONFIG_FIELDS = frozenset(
+    f.name for f in dataclasses.fields(FlowConfig)) - {"atpg", "baseline"}
 
 
 class SubmissionError(ValueError):

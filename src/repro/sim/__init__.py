@@ -15,7 +15,6 @@ from .backend import (
     BACKEND_VECTOR,
     SimBackend,
     make_backend,
-    resolve_backend_name,
 )
 from .fault_sim import (
     CompiledTopology,
@@ -42,7 +41,6 @@ __all__ = [
     "SimSession",
     "SimBackend",
     "make_backend",
-    "resolve_backend_name",
     "BACKEND_AUTO",
     "BACKEND_PACKED",
     "BACKEND_VECTOR",

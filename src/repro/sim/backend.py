@@ -1,44 +1,33 @@
-"""Pluggable fault-simulation backends: the ``SimBackend`` protocol and
-the ``make_backend`` factory.
+"""Fault-simulation backends: the ``SimBackend`` protocol and the
+``make_backend`` factory.
 
 Two standard backends implement the protocol, bit-identically:
 
 * ``"packed"`` — :class:`~repro.sim.fault_sim.PackedFaultSimulator`,
   the pure-Python packed-integer reference oracle.  Always available.
 * ``"vector"`` — :class:`~repro.sim.kernel.VectorFaultSimulator`, the
-  levelized uint64-plane kernel (compiled C step interpreter with a
-  numpy fallback).  Needs numpy; the ≥10x speedup needs a C compiler
-  (found automatically, cached per machine).
+  levelized uint64-plane kernel run by a compiled C step interpreter.
+  Needs numpy and a C compiler (found automatically, the library is
+  cached per machine).
 
-``"auto"`` — the default everywhere — picks ``vector`` only when it
-would actually win: numpy importable, the C engine available, and the
-fault list big enough that kernel setup amortizes.  Every other case
-falls back to ``packed``.  Because the backends are bit-identical,
-``auto`` is a pure performance knob: it can never change result bits.
-
-Selection precedence mirrors the ``jobs``/``REPRO_JOBS`` convention:
-an explicit name (``FlowConfig(sim_backend=...)``, ``--sim-backend``)
-wins, then the ``REPRO_SIM_BACKEND`` environment variable, then
-``auto``.
-
-Flow code used to construct ``PackedFaultSimulator`` directly; those
-paths now route through :func:`make_backend`.  Passing
-``simulator_factory=PackedFaultSimulator`` explicitly still works but
-is deprecated (one :class:`DeprecationWarning` per process, mirroring
-the PR-2 ``coerce_flow_config`` shim); custom API-compatible factories
-(e.g. ``PackedTransitionSimulator``, test doubles) pass through
-untouched and unwarned.
+The choice is the code's, not the user's: :func:`resolve_concrete_backend`
+picks ``vector`` only when it is available here and would actually win
+(fault list or circuit big enough that kernel setup amortizes), else
+``packed``.  Because the backends are bit-identical, the choice never
+changes result bits.  A concrete name is only ever passed around as an
+internal pin — :class:`~repro.sim.session.SimSession` repacks and the
+parallel engine's shard workers reuse their owner's resolved backend so
+state tokens keep one format.  ``simulator_factory=`` on the flow
+classes is the one override, for API-compatible simulators of another
+fault model (``PackedTransitionSimulator``) or test doubles.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import os
-import warnings
 from time import perf_counter
 from typing import (
-    Dict, Iterable, List, Optional, Protocol, Sequence, Tuple,
-    runtime_checkable,
+    Iterable, List, Optional, Protocol, Sequence, runtime_checkable,
 )
 
 from ..circuit.netlist import Circuit
@@ -46,18 +35,15 @@ from ..faults.model import Fault
 from ..obs import context as obs
 from .fault_sim import FaultSimResult, PackedFaultSimulator
 
-#: Resolve to packed/vector by availability and fault count.
+#: Resolve to packed/vector by availability, fault count and size.
 BACKEND_AUTO = "auto"
 #: The pure-Python packed-integer reference simulator.
 BACKEND_PACKED = "packed"
 #: The levelized uint64-plane kernel (:mod:`repro.sim.kernel`).
 BACKEND_VECTOR = "vector"
 
-#: The concrete (selectable) backends, in preference order.
+#: The concrete backends.
 BACKEND_NAMES = (BACKEND_PACKED, BACKEND_VECTOR)
-
-#: Environment override consulted when no explicit name is given.
-BACKEND_ENV = "REPRO_SIM_BACKEND"
 
 #: ``auto`` keeps fault lists smaller than this on the packed backend
 #: unless the circuit is big enough (below).  Measured on a 16-gate
@@ -116,10 +102,8 @@ def numpy_available() -> bool:
 
 
 def vector_available() -> bool:
-    """True when the vector backend would actually be *worth* using:
-    numpy importable and the compiled C step engine loadable.  (The
-    numpy fallback engine exists for portability and parity testing,
-    but on one-core boxes it loses to packed, so ``auto`` ignores it.)"""
+    """True when the vector backend can run here: numpy importable and
+    the compiled C step library loadable."""
     if not numpy_available():
         return False
     from .kernel import load_kernel_library
@@ -127,28 +111,21 @@ def vector_available() -> bool:
     return load_kernel_library() is not None
 
 
-def resolve_backend_name(name: Optional[str] = None) -> str:
-    """Apply the ``explicit -> $REPRO_SIM_BACKEND -> auto`` rule and
-    validate the result (``auto`` or a concrete backend name)."""
-    if name is None:
-        name = os.environ.get(BACKEND_ENV, "").strip() or BACKEND_AUTO
-    if name != BACKEND_AUTO and name not in BACKEND_NAMES:
+def resolve_concrete_backend(name: Optional[str], num_faults: int,
+                             num_gates: int = 0) -> str:
+    """The concrete backend ``make_backend`` would build.
+
+    ``None``/``"auto"`` means: observe — the vector kernel when it is
+    available and the fault list or circuit is big enough for it to
+    win, else packed.  A concrete name is returned as is (it is the
+    internal pin of a :class:`SimSession` or parallel engine, whose
+    repacks and workers must keep one state-token format)."""
+    if name in BACKEND_NAMES:
+        return name
+    if name not in (None, BACKEND_AUTO):
         raise ValueError(
             f"unknown sim backend {name!r}: expected one of "
             f"{(BACKEND_AUTO,) + BACKEND_NAMES}")
-    return name
-
-
-def resolve_concrete_backend(name: Optional[str], num_faults: int,
-                             num_gates: int = 0) -> str:
-    """The concrete backend ``make_backend`` would build: resolves
-    ``auto`` by availability, fault count and circuit size.  Callers
-    that must pin a choice for a simulator's lifetime (e.g.
-    :class:`SimSession`, whose repacks must keep one state-token
-    format) resolve once through here and reuse the answer."""
-    name = resolve_backend_name(name)
-    if name != BACKEND_AUTO:
-        return name
     worthwhile = num_faults >= AUTO_MIN_FAULTS or num_gates >= AUTO_MIN_GATES
     if worthwhile and vector_available():
         return BACKEND_VECTOR
@@ -171,9 +148,9 @@ def make_backend(circuit: Circuit, faults: Sequence[Fault],
                  name: Optional[str] = None) -> SimBackend:
     """Build a fault simulator for ``circuit`` × ``faults``.
 
-    ``name`` is ``"auto"`` (default), ``"packed"``, ``"vector"``, or
-    ``None`` (defer to ``REPRO_SIM_BACKEND``, then ``auto``).  An
-    explicit ``"vector"`` without numpy raises :class:`RuntimeError`
+    ``name`` is ``None``/``"auto"`` (default: see
+    :func:`resolve_concrete_backend`) or a pinned concrete name.  A
+    pinned ``"vector"`` without numpy raises :class:`RuntimeError`
     rather than silently degrading.  Emits one ``faultsim.backend``
     event (journal) and counter/gauges (metrics registry) per build so
     ``repro-atpg profile``/``watch`` show which kernel served a run.
@@ -182,7 +159,7 @@ def make_backend(circuit: Circuit, faults: Sequence[Fault],
                                         circuit.num_gates)
     if concrete == BACKEND_VECTOR and not numpy_available():
         raise RuntimeError(
-            "sim_backend='vector' requires numpy (not importable here); "
+            "the vector backend requires numpy (not importable here); "
             "use 'packed' or 'auto'")
     start = perf_counter()
     sim = backend_class(concrete)(circuit, faults)
@@ -192,48 +169,8 @@ def make_backend(circuit: Circuit, faults: Sequence[Fault],
     obs.set_gauge("faultsim.backend.compile_seconds", compile_seconds)
     obs.set_gauge("faultsim.backend.plane_bytes", plane_bytes)
     obs.event("faultsim.backend", backend=concrete,
-              engine=getattr(sim, "engine", "python"),
               faults=len(faults),
               compile_seconds=round(compile_seconds, 6),
               plane_bytes=plane_bytes)
     return sim
 
-
-_WARNED_FACTORY: set = set()
-
-
-def coerce_simulator_factory(factory, name: Optional[str], owner: str):
-    """Resolve an ``(simulator_factory, sim_backend)`` argument pair to
-    ``(custom_factory_or_None, backend_name)``.
-
-    * ``factory is None`` — the modern path: backend selection by name.
-    * ``factory is PackedFaultSimulator`` — the legacy explicit spelling;
-      honored as ``sim_backend="packed"`` after one
-      :class:`DeprecationWarning` per ``owner`` per process.
-    * anything else — a custom API-compatible factory (transition
-      simulator, test double); passed through untouched, and combining
-      it with an explicit backend name is a :class:`TypeError`.
-    """
-    if factory is None:
-        return None, name
-    if factory is PackedFaultSimulator:
-        if owner not in _WARNED_FACTORY:
-            _WARNED_FACTORY.add(owner)
-            warnings.warn(
-                f"passing simulator_factory=PackedFaultSimulator to "
-                f"{owner} is deprecated; pass sim_backend='packed' "
-                f"(or let the default 'auto' pick a backend)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        if name is not None and resolve_backend_name(name) not in (
-                BACKEND_AUTO, BACKEND_PACKED):
-            raise TypeError(
-                f"{owner}: simulator_factory=PackedFaultSimulator "
-                f"conflicts with sim_backend={name!r}")
-        return None, BACKEND_PACKED
-    if name is not None:
-        raise TypeError(
-            f"{owner}: cannot combine a custom simulator_factory with "
-            f"sim_backend={name!r}")
-    return factory, None

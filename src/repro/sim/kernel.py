@@ -5,31 +5,26 @@
 three-valued ``(ones, zeros)`` planes as a ``(nets, 2, words)`` uint64
 numpy matrix instead of per-net Python integers, and evaluates the
 netlist through a *compiled program*: flat gate/slot/force tables in
-topological order, plus a levelized grouping of the gates.  The same
-tables feed two interchangeable step engines:
+topological order, interpreted by a small C step engine.  The engine is
+compiled once per machine from the embedded source below (``cc -O3``),
+loaded with ``ctypes`` and cached under the user cache dir keyed by a
+source digest: one C call per step (or one per *sequence* via
+``run_block``), zero Python dispatch in the inner loop.  Gates of any
+fanin run on it.  Without a working C compiler the simulator cannot be
+built; :func:`~repro.sim.backend.resolve_concrete_backend` then keeps
+every simulation on the packed reference.
 
-* **C engine** — a small interpreter over the tables, compiled once per
-  machine from the embedded source below (``cc -O3``), loaded with
-  ``ctypes`` and cached under the user cache dir keyed by a source
-  digest.  This is the ≥10x path: one C call per step (or one per
-  *sequence* via ``run_block``), zero Python dispatch in the inner loop.
-* **numpy engine** — per-level ``uint64`` array ops over the plane
-  matrix: one fancy gather per (level, kind, arity) group, a
-  ``bitwise_and``/``or`` reduction across the fanin axis, dense force
-  planes for fault injection.  Used automatically when no C toolchain
-  is available; always available for parity testing.
-
-Both engines mirror ``PackedFaultSimulator``'s gate formulas word for
+The engine mirrors ``PackedFaultSimulator``'s gate formulas word for
 word, so detection masks, coverage and ``(cycle, position)`` detection
 order are bit-identical to the packed reference — the parity tests in
 ``tests/test_sim_backend.py`` assert exactly that.
 
-Compilation is keyed on the PR-5 circuit fingerprint: the
-fault-independent levelized tables are cached on the circuit object
-(``circuit._vector_topology``), mirroring ``compiled_topology``, so
-fault-dropping repacks and the parallel engine's workers reuse them for
-free.  Per-fault-list force rows are rebuilt per instance, exactly like
-the packed simulator's injection masks.
+Compilation is keyed on the circuit fingerprint: the fault-independent
+tables are cached on the circuit object (``circuit._vector_topology``),
+mirroring ``compiled_topology``, so fault-dropping repacks and the
+parallel engine's workers reuse them for free.  Per-fault-list force
+rows are rebuilt per instance, exactly like the packed simulator's
+injection masks.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,18 +44,10 @@ from ..faults.model import Fault
 from ..obs import context as obs
 from ..obs import ledger
 from .fault_sim import (
-    _AND, _BUF, _MUX, _NAND, _NOR, _NOT, _OR, _XNOR, _XOR,
     FaultSimResult, compile_injection_masks, compiled_topology,
     iter_fault_positions,
 )
 from .logic_sim import vector_from_string
-
-#: Set to ``0``/``off`` to skip the C engine (numpy engine only).
-CC_ENV = "REPRO_SIM_CC"
-
-#: Largest gate fanin the C interpreter handles; wider gates force the
-#: numpy engine (never produced by the circuit generators in this repo).
-_C_MAX_ARITY = 16
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -82,10 +69,12 @@ static void apply_force(u64 *o, u64 *z, const u64 *f, i64 W) {
     }
 }
 
+/* ins: caller-owned room for 2 * (widest fanin) input-row pointers,
+   so gates of any arity run here */
 static void step_core(
     u64 *planes, i64 W, const u64 *fullm,
     const i32 *gates, i64 ngates, const i32 *slots,
-    const u64 *forces, u64 *scratch,
+    const u64 *forces, u64 *scratch, const u64 **ins,
     const uint8_t *vec, const i32 *pis, i64 npis,
     const i32 *pos, i64 npos,
     const i32 *ffs, i64 nff, const u64 *state, u64 *newstate,
@@ -113,7 +102,7 @@ static void step_core(
         i64 out = gr[1];
         const i32 *sl = slots + (i64)gr[2] * 2;
         i64 nin = gr[3];
-        const u64 *in1[16]; const u64 *in0[16];
+        const u64 **in1 = ins, **in0 = ins + nin;
         for (i64 k = 0; k < nin; k++) {
             i64 src = sl[2*k]; i32 fi = sl[2*k + 1];
             const u64 *o = planes + src * R, *z = o + W;
@@ -202,20 +191,20 @@ static void step_core(
 void repro_step(
     u64 *planes, i64 W, const u64 *fullm,
     const i32 *gates, i64 ngates, const i32 *slots,
-    const u64 *forces, u64 *scratch,
+    const u64 *forces, u64 *scratch, const u64 **ins,
     const uint8_t *vec, const i32 *pis, i64 npis,
     const i32 *pos, i64 npos,
     const i32 *ffs, i64 nff, const u64 *state, u64 *newstate,
     u64 *det)
 {
-    step_core(planes, W, fullm, gates, ngates, slots, forces, scratch,
+    step_core(planes, W, fullm, gates, ngates, slots, forces, scratch, ins,
               vec, pis, npis, pos, npos, ffs, nff, state, newstate, det);
 }
 
 void repro_run_block(
     u64 *planes, i64 W, const u64 *fullm,
     const i32 *gates, i64 ngates, const i32 *slots,
-    const u64 *forces, u64 *scratch,
+    const u64 *forces, u64 *scratch, const u64 **ins,
     const uint8_t *vecs, i64 nvec, const i32 *pis, i64 npis,
     const i32 *pos, i64 npos,
     const i32 *ffs, i64 nff, u64 *state, u64 *state_scratch,
@@ -224,7 +213,7 @@ void repro_run_block(
     u64 *sin = state, *sout = state_scratch;
     for (i64 t = 0; t < nvec; t++) {
         step_core(planes, W, fullm, gates, ngates, slots, forces, scratch,
-                  vecs + t * npis, pis, npis, pos, npos, ffs, nff,
+                  ins, vecs + t * npis, pis, npis, pos, npos, ffs, nff,
                   sin, sout, dets + t * W);
         u64 *tmp = sin; sin = sout; sout = tmp;
     }
@@ -283,14 +272,12 @@ def _compile_kernel_library() -> Optional[str]:
 
 
 def load_kernel_library() -> Optional[ctypes.CDLL]:
-    """The process-wide C step library (memoized; ``None`` when the
-    ``REPRO_SIM_CC`` env var disables it or compilation fails)."""
+    """The process-wide C step library (memoized; ``None`` when
+    compilation fails)."""
     global _LIB, _LIB_TRIED
     if _LIB_TRIED:
         return _LIB
     _LIB_TRIED = True
-    if os.environ.get(CC_ENV, "").strip().lower() in ("0", "off", "no"):
-        return None
     try:
         so_path = _compile_kernel_library()
         if so_path is None:
@@ -304,65 +291,32 @@ def load_kernel_library() -> Optional[ctypes.CDLL]:
     return _LIB
 
 
-def _reset_library_cache_for_tests() -> None:
-    global _LIB, _LIB_TRIED
-    _LIB = None
-    _LIB_TRIED = False
-
-
 class LevelizedTopology:
     """Fault-independent compiled program for one circuit.
 
     Flat int32 tables in topological order (the C interpreter's input,
-    force columns left at -1) plus a levelized ``(level, kind, arity)``
-    grouping of gate positions for the numpy engine.  Cached on the
-    circuit keyed by its content fingerprint, like
+    force columns left at -1).  Cached on the circuit keyed by its
+    content fingerprint, like
     :func:`~repro.sim.fault_sim.compiled_topology`.
     """
 
-    __slots__ = ("num_nets", "pi_idx", "po_idx", "ff_idx", "gates",
-                 "slots", "max_arity", "groups", "num_levels")
+    __slots__ = ("num_nets", "gates", "slots", "max_arity")
 
     def __init__(self, circuit: Circuit):
         topo = compiled_topology(circuit)
         self.num_nets = topo.num_nets
-        self.pi_idx = np.asarray([i for i, _n in topo.pi], dtype=np.int32)
-        self.po_idx = np.asarray([i for i, _n in topo.po], dtype=np.int32)
-        self.ff_idx = np.asarray(
-            [[q, d] for q, (d, _) in zip(topo.flop_q, topo.flop_d)],
-            dtype=np.int32).reshape(-1, 2)
-
-        level = np.zeros(topo.num_nets, dtype=np.int32)
         gates: List[List[int]] = []
         slots: List[List[int]] = []
-        gate_levels: List[int] = []
         max_arity = 1
         for code, out_idx, in_idx in topo.gates:
             soff = len(slots)
             for i in in_idx:
                 slots.append([i, -1])
             gates.append([code, out_idx, soff, len(in_idx), -1])
-            lvl = 1 + max((int(level[i]) for i in in_idx), default=0)
-            level[out_idx] = lvl
-            gate_levels.append(lvl)
             max_arity = max(max_arity, len(in_idx))
         self.gates = np.asarray(gates, dtype=np.int32).reshape(-1, 5)
         self.slots = np.asarray(slots, dtype=np.int32).reshape(-1, 2)
         self.max_arity = max_arity
-        self.num_levels = (max(gate_levels) if gate_levels else 0) + 1
-
-        by_group: Dict[Tuple[int, int, int], List[int]] = {}
-        for pos, (lvl, rec) in enumerate(zip(gate_levels, gates)):
-            by_group.setdefault((lvl, rec[0], rec[3]), []).append(pos)
-        #: [(kind, gate_positions, out_idx (n,), src_idx (arity, n))]
-        self.groups = []
-        for (lvl, kind, arity), positions in sorted(by_group.items()):
-            out = np.asarray([gates[p][1] for p in positions], dtype=np.int64)
-            src = np.asarray(
-                [[slots[gates[p][2] + k][0] for p in positions]
-                 for k in range(arity)], dtype=np.int64)
-            self.groups.append(
-                (kind, np.asarray(positions, dtype=np.int64), out, src))
 
 
 def levelized_topology(circuit: Circuit) -> LevelizedTopology:
@@ -396,14 +350,18 @@ class VectorFaultSimulator:
     API-compatible with :class:`PackedFaultSimulator` (the full
     :class:`~repro.sim.backend.SimBackend` surface plus the query
     helpers the flow uses), with bit-identical detection behaviour.
-    ``engine`` is ``"c"`` when the compiled step interpreter is active
-    and ``"numpy"`` on the pure-array fallback path.
+    Raises :class:`RuntimeError` when the C step library cannot be
+    built on this machine.
     """
 
     backend_name = "vector"
 
-    def __init__(self, circuit: Circuit, faults: Sequence[Fault],
-                 engine: Optional[str] = None):
+    def __init__(self, circuit: Circuit, faults: Sequence[Fault]):
+        lib = load_kernel_library()
+        if lib is None:
+            raise RuntimeError("the vector kernel needs a working C "
+                               "compiler; use the packed backend")
+        self._lib = lib
         self.circuit = circuit
         self.faults = list(faults)
         self.num_machines = len(self.faults) + 1
@@ -413,11 +371,9 @@ class VectorFaultSimulator:
         program = levelized_topology(circuit)
         self._index = topo.index
         self._topo = topo
-        self._program = program
         W = (self.num_machines + 63) // 64
         self.W = W
         self._full_words = _int_to_words(self.full_mask, W)
-        self._fault_words = _int_to_words(self.fault_mask, W)
 
         stem_masks, branch_masks = compile_injection_masks(
             self.faults, topo.index)
@@ -460,37 +416,22 @@ class VectorFaultSimulator:
             self._forces = np.zeros((1, 2, W), dtype=np.uint64)
 
         self.planes = np.zeros((program.num_nets, 2, W), dtype=np.uint64)
-        self._planes_flat = self.planes.reshape(-1, W)
         nff = len(self._ffs)
         self._state = np.zeros((nff, 2, W), dtype=np.uint64)
         self._state_scratch = np.zeros_like(self._state)
         self._scratch = np.zeros((program.max_arity + 1, 2, W),
                                  dtype=np.uint64)
+        # input-row pointers of the gate being evaluated (C-side only)
+        self._ins = np.zeros(2 * program.max_arity, dtype=np.uintp)
         self._det = np.zeros(W, dtype=np.uint64)
         self.time = 0
 
-        lib = None
-        if engine != "numpy" and program.max_arity <= _C_MAX_ARITY:
-            lib = load_kernel_library()
-        if engine == "c" and lib is None:
-            raise RuntimeError("no C toolchain for the vector kernel's "
-                               "compiled engine (and REPRO_SIM_CC not off)")
-        self._lib = lib
-        self.engine = "c" if lib is not None else "numpy"
-        if lib is not None:
-            self._bind_c()
-        else:
-            self._bind_numpy()
-
-    # -- engines ---------------------------------------------------------------
-
-    def _bind_c(self) -> None:
         vp = ctypes.c_void_p
         p = lambda a: vp(a.ctypes.data)
         self._head_args = (
             p(self.planes), ctypes.c_int64(self.W), p(self._full_words),
             p(self._gates), ctypes.c_int64(len(self._gates)), p(self._slots),
-            p(self._forces), p(self._scratch))
+            p(self._forces), p(self._scratch), p(self._ins))
         self._tail_args = (
             p(self._pis), ctypes.c_int64(len(self._pis)),
             p(self._pos), ctypes.c_int64(len(self._pos)),
@@ -498,51 +439,6 @@ class VectorFaultSimulator:
         self._state_ptr = p(self._state)
         self._state_scratch_ptr = p(self._state_scratch)
         self._det_ptr = p(self._det)
-
-    def _bind_numpy(self) -> None:
-        """Precompute the per-group gather/force arrays the numpy step
-        interprets: flat plane-row indices (row ``2*net + plane``) and
-        dense force planes for the groups that inject faults."""
-        W = self.W
-        forces = self._forces
-
-        def dense(force_ids: np.ndarray):
-            """(f1, nf0, f0, nf1) planes for a force-id array, or None
-            when nothing in it injects."""
-            ids = np.asarray(force_ids)
-            if not (ids >= 0).any():
-                return None
-            f1 = np.zeros(ids.shape + (W,), dtype=np.uint64)
-            f0 = np.zeros_like(f1)
-            sel = ids >= 0
-            f1[sel] = forces[ids[sel], 0]
-            f0[sel] = forces[ids[sel], 1]
-            return f1, ~f0, f0, ~f1
-
-        self._np_pi_force = dense(self._pis[:, 1])
-        self._np_po_force = dense(self._pos[:, 1])
-        self._np_ffq_force = dense(self._ffs[:, 2])
-        self._np_ffd_force = dense(self._ffs[:, 3])
-        self._np_pi_idx = self._pis[:, 0].astype(np.int64)
-        self._np_po_idx = self._pos[:, 0].astype(np.int64)
-        self._np_ffq_idx = self._ffs[:, 0].astype(np.int64)
-        self._np_ffd_idx = self._ffs[:, 1].astype(np.int64)
-        # value -> (ones, zeros) rows for PI loading, indexed by 0/1/X
-        lut1 = np.zeros((3, W), dtype=np.uint64)
-        lut0 = np.zeros((3, W), dtype=np.uint64)
-        lut1[ONE] = self._full_words
-        lut0[ZERO] = self._full_words
-        self._np_lut = (lut1, lut0)
-
-        groups = []
-        for kind, positions, out, src in self._program.groups:
-            take = np.stack([2 * src, 2 * src + 1])  # (2, arity, n)
-            slot_force = np.asarray(
-                [[self._slots[self._gates[p, 2] + k, 1] for p in positions]
-                 for k in range(src.shape[0])], dtype=np.int64)
-            stem_force = dense(self._gates[positions, 4])
-            groups.append((kind, out, take, dense(slot_force), stem_force))
-        self._np_groups = groups
 
     # -- state -----------------------------------------------------------------
 
@@ -663,92 +559,15 @@ class VectorFaultSimulator:
     def step(self, vector: Sequence[int]) -> int:
         """Apply one vector; return this cycle's detection mask
         (bit-identical to the packed simulator's)."""
-        if self._lib is not None:
-            self._lib.repro_step(
-                *self._head_args, self._vector_bytes(vector),
-                *self._tail_args, self._state_ptr, self._state_scratch_ptr,
-                self._det_ptr)
-            self._state, self._state_scratch = (
-                self._state_scratch, self._state)
-            self._state_ptr, self._state_scratch_ptr = (
-                self._state_scratch_ptr, self._state_ptr)
-        else:
-            self._step_numpy(self._vector_array(vector))
+        self._lib.repro_step(
+            *self._head_args, self._vector_bytes(vector),
+            *self._tail_args, self._state_ptr, self._state_scratch_ptr,
+            self._det_ptr)
+        self._state, self._state_scratch = self._state_scratch, self._state
+        self._state_ptr, self._state_scratch_ptr = (
+            self._state_scratch_ptr, self._state_ptr)
         self.time += 1
         return _words_to_int(self._det) & self.fault_mask
-
-    @staticmethod
-    def _forced(ones, zeros, force):
-        if force is None:
-            return ones, zeros
-        f1, nf0, f0, nf1 = force
-        return (ones | f1) & nf0, (zeros | f0) & nf1
-
-    def _step_numpy(self, vec: np.ndarray) -> None:
-        planes = self.planes
-        flat = self._planes_flat
-        lut1, lut0 = self._np_lut
-        o, z = self._forced(lut1[vec], lut0[vec], self._np_pi_force)
-        planes[self._np_pi_idx, 0] = o
-        planes[self._np_pi_idx, 1] = z
-        o, z = self._forced(self._state[:, 0], self._state[:, 1],
-                            self._np_ffq_force)
-        planes[self._np_ffq_idx, 0] = o
-        planes[self._np_ffq_idx, 1] = z
-
-        for kind, out, take, branch_force, stem_force in self._np_groups:
-            G = np.take(flat, take, axis=0)  # (2, arity, n, W)
-            G1, G0 = self._forced(G[0], G[1], branch_force)
-            if kind in (_AND, _NAND):
-                o = np.bitwise_and.reduce(G1, axis=0)
-                z = np.bitwise_or.reduce(G0, axis=0)
-                o &= ~z
-                if kind == _NAND:
-                    o, z = z, o
-            elif kind in (_OR, _NOR):
-                o = np.bitwise_or.reduce(G1, axis=0)
-                z = np.bitwise_and.reduce(G0, axis=0)
-                z &= ~o
-                if kind == _NOR:
-                    o, z = z, o
-            elif kind == _NOT:
-                o, z = G0[0], G1[0]
-            elif kind == _BUF:
-                o, z = G1[0], G0[0]
-            elif kind == _MUX:
-                s1, s0 = G1[0], G0[0]
-                a1, a0 = G1[1], G0[1]
-                b1, b0 = G1[2], G0[2]
-                o = (s0 & a1) | (s1 & b1) | (a1 & b1)
-                z = (s0 & a0) | (s1 & b0) | (a0 & b0)
-            else:  # XOR / XNOR
-                o, z = G1[0], G0[0]
-                for k in range(1, G1.shape[0]):
-                    b1, b0 = G1[k], G0[k]
-                    o, z = (o & b0) | (z & b1), (o & b1) | (z & b0)
-                if kind == _XNOR:
-                    o, z = z, o
-            o, z = self._forced(o, z, stem_force)
-            planes[out, 0] = o
-            planes[out, 1] = z
-
-        PO = planes[self._np_po_idx]
-        o, z = self._forced(PO[:, 0], PO[:, 1], self._np_po_force)
-        one = np.uint64(1)
-        good1 = (o[:, 0] & one).astype(bool)
-        good0 = (z[:, 0] & one).astype(bool)
-        zero = np.uint64(0)
-        hits = (np.where(good1[:, None], z, zero)
-                | np.where(good0[:, None], o, zero))
-        det = np.bitwise_or.reduce(hits, axis=0) if len(hits) else \
-            np.zeros(self.W, dtype=np.uint64)
-        self._det[:] = det & self._fault_words
-
-        D = planes[self._np_ffd_idx]
-        o, z = self._forced(D[:, 0], D[:, 1], self._np_ffd_force)
-        self._state_scratch[:, 0] = o
-        self._state_scratch[:, 1] = z
-        self._state, self._state_scratch = self._state_scratch, self._state
 
     # -- queries (post-step plane reads, packed contract) ----------------------
 
@@ -820,7 +639,7 @@ class VectorFaultSimulator:
 
         Identical semantics (and telemetry counters) to the packed
         simulator's :meth:`~PackedFaultSimulator.run`.  Without early
-        stopping the C engine runs the entire block in one call.
+        stopping the entire block runs in one C call.
         """
         if reset:
             self.reset()
@@ -829,7 +648,7 @@ class VectorFaultSimulator:
         detection_time = result.detection_time
         remaining = self.fault_mask
         vectors = list(vectors)
-        if self._lib is not None and not stop_when_all_detected and vectors:
+        if not stop_when_all_detected and vectors:
             for t, newly in enumerate(self._run_block(vectors)):
                 newly &= remaining
                 if newly:

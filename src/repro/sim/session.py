@@ -47,12 +47,7 @@ from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..obs import context as obs
 from ..obs import ledger
-from .backend import (
-    backend_class,
-    coerce_simulator_factory,
-    make_backend,
-    resolve_concrete_backend,
-)
+from .backend import backend_class, make_backend, resolve_concrete_backend
 from .logic_sim import vector_from_string
 
 
@@ -101,20 +96,17 @@ class SimSession:
         a speed/memory knob only; detection results are bit-identical
         for every interval.
     sim_backend:
-        Backend name resolved through
-        :func:`~repro.sim.backend.resolve_concrete_backend` —
-        ``"auto"`` (default), ``"packed"``, ``"vector"`` or ``None``
-        (defer to ``REPRO_SIM_BACKEND``).  Resolved to a concrete
-        backend *once*, at construction: fault-dropping repacks rebuild
-        the same backend, because checkpoint state tokens are remapped
-        in the backend's own token format and must never switch formats
-        mid-session.
+        ``None`` (default) resolves the backend through
+        :func:`~repro.sim.backend.resolve_concrete_backend`; a concrete
+        name pins it (the parallel engine hands its own pin to its shard
+        workers this way).  Resolved *once*, at construction:
+        fault-dropping repacks rebuild the same backend, because
+        checkpoint state tokens are remapped in the backend's own token
+        format and must never switch formats mid-session.
     simulator_factory:
         A custom ``factory(circuit, faults)`` overriding backend
         selection (the transition simulator is API-compatible, except
-        ``initial_state`` queries, which need ``load_state``).  Passing
-        :class:`PackedFaultSimulator` explicitly is the deprecated
-        legacy spelling of ``sim_backend="packed"``.
+        ``initial_state`` queries, which need ``load_state``).
     incremental:
         When ``False``, every query restarts from cycle 0 and no state
         is snapshotted — the restart baseline used by the perf guards.
@@ -136,19 +128,17 @@ class SimSession:
         self.faults = list(faults)
         self.checkpoint_interval = checkpoint_interval
         self.incremental = incremental
-        factory, backend = coerce_simulator_factory(
-            simulator_factory, sim_backend, "SimSession")
-        if factory is None:
+        if simulator_factory is None:
             #: Concrete backend name pinned for the session's lifetime
             #: (None with a custom factory).
             self.sim_backend = resolve_concrete_backend(
-                backend, len(self.faults), circuit.num_gates)
+                sim_backend, len(self.faults), circuit.num_gates)
             self._factory = backend_class(self.sim_backend)
             self._sim = make_backend(circuit, self.faults, self.sim_backend)
         else:
             self.sim_backend = None
-            self._factory = factory
-            self._sim = factory(circuit, self.faults)
+            self._factory = simulator_factory
+            self._sim = simulator_factory(circuit, self.faults)
         self._position = {f: i for i, f in enumerate(self.faults)}
 
         #: external mask with one bit per fault (bit 0 clear).

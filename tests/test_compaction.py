@@ -142,21 +142,20 @@ class TestPipelineOrder:
 
 class TestOracle:
     def test_checkpoint_equals_scratch(self, s27_scan_case):
-        """Suffix simulation from a checkpoint equals whole-sequence
-        simulation (the machinery omission relies on)."""
+        """Suffix simulation resumed from a checkpoint equals
+        whole-sequence simulation (the machinery omission relies on)."""
         circuit, faults, sequence = s27_scan_case
         oracle = CompactionOracle(circuit, faults)
+        scratch = CompactionOracle(circuit, faults, incremental=False)
         vectors = list(sequence.vectors)
-        checkpoint = oracle.reset_checkpoint()
-        prefix_mask = 0
         split = min(10, len(vectors) // 2)
-        for vector in vectors[:split]:
-            checkpoint, newly = oracle.advance(checkpoint, vector)
-            prefix_mask |= newly
-        suffix_mask = oracle.detected_mask(vectors[split:],
-                                           initial_state=checkpoint)
-        scratch = oracle.detected_mask(vectors)
-        assert prefix_mask | suffix_mask == scratch
+        oracle.detection_times(vectors[:split])  # lays down checkpoints
+        hits = oracle.session.checkpoint_hits
+        assert oracle.detected_mask(vectors) == scratch.detected_mask(vectors)
+        assert oracle.session.checkpoint_hits > hits  # resumed mid-way
+        edited = vectors[:split] + vectors[split:][::-1]
+        assert oracle.detection_times(edited) == \
+            scratch.detection_times(edited)
 
     def test_mask_roundtrip(self, s27_scan_case):
         circuit, faults, _ = s27_scan_case

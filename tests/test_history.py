@@ -83,16 +83,47 @@ class TestConfigFingerprint:
                 != run_config_fingerprint(cfg, flow="translation"))
 
     def test_speed_knobs_do_not(self):
-        """jobs / checkpoint_interval / cache / backend / run_index
-        cannot change result bits, so they must not split trend groups."""
+        """jobs / checkpoint_interval / cache / run_index cannot change
+        result bits, so they must not split trend groups."""
         base = run_config_fingerprint(FlowConfig())
         for cfg in (FlowConfig(jobs=4),
                     FlowConfig(checkpoint_interval=9),
-                    FlowConfig(incremental=False),
                     FlowConfig(cache_dir="/tmp/x"),
-                    FlowConfig(sim_backend="packed"),
                     FlowConfig(run_index="runs.sqlite")):
             assert run_config_fingerprint(cfg) == base
+
+    def test_every_field_is_fingerprinted_or_speed_only(self):
+        """Each FlowConfig field either moves the fingerprint or is
+        declared result-neutral in SPEED_FIELDS — never neither (a new
+        semantic field the fingerprint misses would merge distinct
+        runs) and never both."""
+        from dataclasses import fields
+
+        from repro.atpg import SeqATPGConfig
+        from repro.atpg.scan_seq import SecondApproachConfig
+        from repro.core.config import SPEED_FIELDS
+
+        varied = {"atpg": SeqATPGConfig(seed=99),
+                  "baseline": SecondApproachConfig(seed=99)}
+        names = {f.name for f in fields(FlowConfig)}
+        assert SPEED_FIELDS <= names
+        base = run_config_fingerprint(FlowConfig())
+        for f in fields(FlowConfig):
+            value = varied.get(f.name, f.default)
+            if f.name not in varied:
+                if isinstance(f.default, bool):
+                    value = not f.default
+                elif isinstance(f.default, int):
+                    value = f.default + 1
+                elif f.default is None:
+                    value = "varied"
+                else:
+                    pytest.fail(f"no variation for FlowConfig.{f.name}")
+            moved = run_config_fingerprint(
+                FlowConfig(**{f.name: value})) != base
+            assert moved != (f.name in SPEED_FIELDS), (
+                f"FlowConfig.{f.name} must either feed "
+                f"run_config_fingerprint or be in SPEED_FIELDS")
 
 
 # -- records -----------------------------------------------------------------
@@ -261,6 +292,29 @@ class TestRecordFlowRun:
         assert entry.wall_seconds > 0
         assert entry.config_fp == run_config_fingerprint(
             cfg, flow="generation")
+
+    def test_record_names_the_backends_that_ran(self, tmp_path):
+        """The ``backend`` column names the concrete kernel(s) the run
+        built — never ``auto`` — read from the session's
+        ``faultsim.backend.<name>`` counters."""
+        from repro import obs
+        from repro.sim.backend import BACKEND_NAMES
+
+        db = tmp_path / "runs.sqlite"
+        with obs.session() as telemetry:
+            generation_flow(s27(), FlowConfig(seed=1, run_index=str(db)))
+        counters = telemetry.metrics.snapshot()["counters"]
+        ran = [name for name in BACKEND_NAMES
+               if counters.get(f"faultsim.backend.{name}")]
+        assert ran, "the flow built no simulator"
+        entry = RunIndex(db).latest()
+        assert entry.backend == "+".join(ran)
+        assert set(entry.backend.split("+")) <= set(BACKEND_NAMES)
+
+    def test_untraced_record_has_no_backend(self, tmp_path):
+        db = tmp_path / "runs.sqlite"
+        generation_flow(s27(), FlowConfig(seed=1, run_index=str(db)))
+        assert RunIndex(db).latest().backend == ""
 
     def test_off_by_default(self, tmp_path, monkeypatch):
         monkeypatch.delenv(RUN_INDEX_ENV, raising=False)

@@ -129,28 +129,18 @@ class TestFlowConfig:
         with pytest.raises(ValueError):
             FlowConfig(num_chains=0)
 
-    def test_legacy_kwargs_warn_and_match(self, s27_generation):
-        """The deprecated keyword shim produces the same flow as the
-        equivalent FlowConfig."""
-        with pytest.warns(DeprecationWarning):
-            legacy = generation_flow(s27(), seed=1)
-        assert legacy.omitted_stats() == s27_generation.omitted_stats()
-        assert legacy.fault_coverage == s27_generation.fault_coverage
-
     def test_legacy_positional_seed(self):
-        with pytest.warns(DeprecationWarning):
-            flow = generation_flow(s27(), 1, compact=False)
-        assert flow.restored is None
+        """The flows take a FlowConfig or nothing: a bare seed is a
+        TypeError, not a silent default."""
+        with pytest.raises(TypeError, match="FlowConfig"):
+            generation_flow(s27(), 1)
+        with pytest.raises(TypeError, match="FlowConfig"):
+            translation_flow(s27(), 1)
 
     def test_legacy_atpg_config_kwarg(self):
-        with pytest.warns(DeprecationWarning):
-            flow = generation_flow(
-                s27(), config=SeqATPGConfig(seed=1), compact=False)
-        assert flow.raw is not None
-
-    def test_translation_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning):
-            translation_flow(s27(), seed=1, compact=False)
+        """An engine config is a FlowConfig field, not a flow config."""
+        with pytest.raises(TypeError, match="FlowConfig"):
+            generation_flow(s27(), config=SeqATPGConfig(seed=1))
 
     def test_config_plus_legacy_rejected(self):
         with pytest.raises(TypeError):

@@ -131,8 +131,6 @@ def test_fair_queue_drain_returns_leftovers():
 SPEED_KNOBS = {
     "jobs": 4,
     "checkpoint_interval": 9,
-    "incremental": False,
-    "sim_backend": "packed",
     "cache_dir": "/tmp/some-cache",
     "run_index": "/tmp/some-index.sqlite",
 }

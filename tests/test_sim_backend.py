@@ -1,15 +1,15 @@
-"""The pluggable fault-simulation backend API (repro.sim.backend) and
-the vectorized levelized kernel (repro.sim.kernel).
+"""The fault-simulation backend API (repro.sim.backend) and the
+vectorized levelized kernel (repro.sim.kernel).
 
-The contract under test: the ``vector`` backend — with either of its
-engines (compiled C step interpreter, numpy fallback) — is bit-identical
-to the ``PackedFaultSimulator`` reference on every observable surface:
-per-step detection masks, ``run()`` detection maps and (cycle, position)
-ordering, state tokens round-tripping through :class:`SimSession`
-checkpoints, fault drops/repacks, and the parallel engine at every
-worker count.  Backend selection (``auto``/env/explicit), the
-deprecation shim for explicit ``PackedFaultSimulator`` factories, and
-the no-numpy-when-packed guarantee are covered alongside.
+The contract under test: the ``vector`` backend (the compiled C step
+interpreter) is bit-identical to the ``PackedFaultSimulator`` reference
+on every observable surface: per-step detection masks, ``run()``
+detection maps and (cycle, position) ordering, state tokens
+round-tripping through :class:`SimSession` checkpoints, fault
+drops/repacks, gates of any fanin, and the parallel engine at every
+worker count.  Automatic backend selection (with and without numpy or
+a C compiler), custom simulator factories and the
+no-numpy-when-packed guarantee are covered alongside.
 """
 
 import os
@@ -22,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import FlowConfig, obs
+from repro import FlowConfig, generation_flow, obs
 from repro.circuit import insert_scan, random_circuit, s27
+from repro.circuit.netlist import Circuit, FlipFlop, Gate
 from repro.faults import collapse_faults
 from repro.parallel import ParallelFaultSim
 from repro.sim import (
@@ -35,42 +36,24 @@ from repro.sim import (
     SimBackend,
     SimSession,
     make_backend,
-    resolve_backend_name,
 )
 from repro.sim import backend as backend_mod
 from repro.sim.backend import (
     AUTO_MIN_FAULTS,
-    BACKEND_ENV,
-    coerce_simulator_factory,
-    numpy_available,
     resolve_concrete_backend,
     vector_available,
 )
 from tests.util import random_vectors
 
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not importable")
+requires_vector = pytest.mark.skipif(
+    not vector_available(),
+    reason="vector backend unavailable (needs numpy and a C compiler)")
 
 
-def _engines():
-    """The vector-kernel engines usable on this machine."""
-    if not numpy_available():
-        return []
-    from repro.sim.kernel import load_kernel_library
-
-    engines = ["numpy"]
-    if load_kernel_library() is not None:
-        engines.append("c")
-    return engines
-
-
-ENGINES = _engines()
-
-
-def _vector_sim(circuit, faults, engine):
+def _vector_sim(circuit, faults):
     from repro.sim.kernel import VectorFaultSimulator
 
-    return VectorFaultSimulator(circuit, faults, engine=engine)
+    return VectorFaultSimulator(circuit, faults)
 
 
 CIRCUITS = {
@@ -89,30 +72,28 @@ def circuit(request):
 # -- step/run parity against the packed reference ----------------------------
 
 
-@requires_numpy
-@pytest.mark.parametrize("engine", ENGINES)
-def test_step_masks_bit_identical(circuit, engine):
+@requires_vector
+def test_step_masks_bit_identical(circuit):
     faults = collapse_faults(circuit)
     vectors = random_vectors(circuit, 24, seed=3)
     packed = PackedFaultSimulator(circuit, faults)
-    vector = _vector_sim(circuit, faults, engine)
+    vector = _vector_sim(circuit, faults)
     packed.reset()
     vector.reset()
     for vec in vectors:
         assert vector.step(vec) == packed.step(vec)
 
 
-@requires_numpy
-@pytest.mark.parametrize("engine", ENGINES)
+@requires_vector
 @pytest.mark.parametrize("early_stop", [False, True])
-def test_run_detection_maps_bit_identical(circuit, engine, early_stop):
+def test_run_detection_maps_bit_identical(circuit, early_stop):
     """run(): same detection times, same (cycle, position) insertion
     order, same vector count — the acceptance-criterion equality."""
     faults = collapse_faults(circuit)
     vectors = random_vectors(circuit, 30, seed=7)
     ref = PackedFaultSimulator(circuit, faults).run(
         [list(v) for v in vectors], stop_when_all_detected=early_stop)
-    got = _vector_sim(circuit, faults, engine).run(
+    got = _vector_sim(circuit, faults).run(
         [list(v) for v in vectors], stop_when_all_detected=early_stop)
     assert got.detection_time == ref.detection_time
     assert list(got.detection_time) == list(ref.detection_time)
@@ -120,15 +101,14 @@ def test_run_detection_maps_bit_identical(circuit, engine, early_stop):
     assert got.faults == ref.faults
 
 
-@requires_numpy
-@pytest.mark.parametrize("engine", ENGINES)
-def test_query_surface_parity(circuit, engine):
+@requires_vector
+def test_query_surface_parity(circuit):
     """The session-facing query surface (good values, effect masks,
     detecting outputs, detects_all) agrees with packed mid-sequence."""
     faults = collapse_faults(circuit)
     vectors = random_vectors(circuit, 10, seed=5)
     packed = PackedFaultSimulator(circuit, faults)
-    vector = _vector_sim(circuit, faults, engine)
+    vector = _vector_sim(circuit, faults)
     packed.reset()
     vector.reset()
     for vec in vectors:
@@ -145,15 +125,14 @@ def test_query_surface_parity(circuit, engine):
     assert vector.detects_all(vectors) == packed.detects_all(vectors)
 
 
-@requires_numpy
-@pytest.mark.parametrize("engine", ENGINES)
-def test_state_tokens_round_trip(circuit, engine):
+@requires_vector
+def test_state_tokens_round_trip(circuit):
     """save_state/restore_state replays to identical futures, and
     machine-state export/import agrees with packed."""
     faults = collapse_faults(circuit)
     vectors = random_vectors(circuit, 16, seed=9)
     packed = PackedFaultSimulator(circuit, faults)
-    vector = _vector_sim(circuit, faults, engine)
+    vector = _vector_sim(circuit, faults)
     packed.reset()
     vector.reset()
     for vec in vectors[:8]:
@@ -172,10 +151,78 @@ def test_state_tokens_round_trip(circuit, engine):
     assert [vector.step(vec) for vec in vectors[8:]] == tail_v
 
 
+# -- gates wider than any fixed pointer table --------------------------------
+
+
+def _wide_fanin_circuit():
+    """17- and 33-input AND/NAND/OR/NOR/XOR/XNOR gates over buffered
+    copies of three inputs (so the wide AND/OR gates still see
+    all-ones / all-zeros under random vectors and faults on their pins
+    get detected), plus flops fed from and feeding wide gates."""
+    rng = random.Random(5)
+    inputs = [f"i{k}" for k in range(6)]
+    flops = [FlipFlop(f"q{k}", f"d{k}") for k in range(4)]
+    gates = [Gate(f"p{k}", "BUF", (("i0", "i1", "i2")[k % 3],))
+             for k in range(40)]
+    pool = [g.output for g in gates]
+    outputs = []
+    for width in (17, 33):
+        for kind in ("AND", "NAND", "OR", "NOR", "XOR", "XNOR"):
+            gates.append(Gate(f"w{kind}{width}", kind,
+                              tuple(rng.sample(pool, width))))
+            outputs.append(f"w{kind}{width}")
+    for k in range(4):
+        gates.append(Gate(f"d{k}", "XOR",
+                          (outputs[k], outputs[-1 - k], f"i{3 + k % 3}")))
+    gates.append(Gate("wq", "XNOR", tuple(pool[:14]) + tuple(
+        f.q for f in flops)))
+    outputs.append("wq")
+    return Circuit("wide_fanin", inputs, outputs, gates, flops)
+
+
+@requires_vector
+@pytest.mark.parametrize("num_faults", [1, 63, 64, 150])
+def test_wide_fanin_gates_bit_identical(num_faults):
+    """The C engine has no fanin limit: step masks, ``run`` detection
+    maps and order, and state tokens equal packed on 17- and 33-input
+    gates, at one- and multi-word plane widths."""
+    circuit = _wide_fanin_circuit()
+    assert max(len(g.inputs) for g in circuit.gates) == 33
+    faults = random.Random(num_faults).sample(collapse_faults(circuit),
+                                              num_faults)
+    vectors = random_vectors(circuit, 40, seed=num_faults)
+    packed = PackedFaultSimulator(circuit, faults)
+    vector = _vector_sim(circuit, faults)
+    packed.reset()
+    vector.reset()
+    masks = []
+    for vec in vectors[:20]:
+        masks.append(packed.step(vec))
+        assert vector.step(vec) == masks[-1]
+    token_p, token_v = packed.save_state(), vector.save_state()
+    assert vector.ff_effect_masks() == packed.ff_effect_masks()
+    tail = [packed.step(vec) for vec in vectors[20:]]
+    assert [vector.step(vec) for vec in vectors[20:]] == tail
+    vector.restore_state(token_v)
+    packed.restore_state(token_p)
+    assert [vector.step(vec) for vec in vectors[20:]] == tail
+    assert [packed.step(vec) for vec in vectors[20:]] == tail
+    if num_faults >= 63:
+        assert any(masks + tail), "no detections: the check is vacuous"
+    for early_stop in (False, True):
+        ref = PackedFaultSimulator(circuit, faults).run(
+            vectors, stop_when_all_detected=early_stop)
+        got = _vector_sim(circuit, faults).run(
+            vectors, stop_when_all_detected=early_stop)
+        assert list(got.detection_time.items()) == \
+            list(ref.detection_time.items())
+        assert got.num_vectors == ref.num_vectors
+
+
 # -- property test: random circuits through both backends --------------------
 
 
-@requires_numpy
+@requires_vector
 @settings(max_examples=10, deadline=None)
 @given(
     params=st.tuples(
@@ -195,18 +242,15 @@ def test_backends_agree_on_random_circuits(params, sim_seed):
         return
     vectors = random_vectors(circuit, 20, seed=sim_seed)
     ref = PackedFaultSimulator(circuit, faults).run([list(v) for v in vectors])
-    for engine in ENGINES:
-        got = _vector_sim(circuit, faults, engine).run(
-            [list(v) for v in vectors])
-        assert got.detection_time == ref.detection_time
-        assert list(got.detection_time) == list(ref.detection_time)
+    got = _vector_sim(circuit, faults).run([list(v) for v in vectors])
+    assert got.detection_time == ref.detection_time
+    assert list(got.detection_time) == list(ref.detection_time)
 
 
 # -- SimSession: checkpoints, drops, repacks ---------------------------------
 
 
-@requires_numpy
-@pytest.mark.skipif(not ENGINES, reason="no vector engine")
+@requires_vector
 def test_session_checkpoint_drop_repack_parity(circuit):
     """A mixed session workload (prefix re-queries, edits, drops that
     trigger repacks) answers bit-identically on both backends."""
@@ -244,9 +288,9 @@ def test_session_pins_concrete_backend():
     class so state-token formats never switch mid-session."""
     circuit = CIRCUITS["scan_mid"]()
     faults = collapse_faults(circuit)
-    session = SimSession(circuit, faults, sim_backend=BACKEND_AUTO)
+    session = SimSession(circuit, faults)
     assert session.sim_backend in BACKEND_NAMES
-    expected = resolve_concrete_backend(BACKEND_AUTO, len(faults))
+    expected = resolve_concrete_backend(None, len(faults))
     assert session.sim_backend == expected
     assert type(session._sim).backend_name == expected
 
@@ -254,8 +298,7 @@ def test_session_pins_concrete_backend():
 # -- parallel engine: serial-vs-vector, jobs in {1, 2} -----------------------
 
 
-@requires_numpy
-@pytest.mark.skipif(not vector_available(), reason="C engine unavailable")
+@requires_vector
 def test_parallel_jobs_bit_identical_across_backends():
     """Acceptance criterion: serial-vs-vector and jobs in {1, 2}
     detection maps are bit-identical."""
@@ -277,69 +320,42 @@ def test_parallel_jobs_bit_identical_across_backends():
             assert par.num_vectors == serial_packed.num_vectors
 
 
-# -- selection: auto / env / explicit ----------------------------------------
+# -- selection: observed, never configured -----------------------------------
 
 
-def test_resolve_backend_name_precedence(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    assert resolve_backend_name(None) == BACKEND_AUTO
-    assert resolve_backend_name(BACKEND_PACKED) == BACKEND_PACKED
-    monkeypatch.setenv(BACKEND_ENV, BACKEND_PACKED)
-    assert resolve_backend_name(None) == BACKEND_PACKED
-    # explicit beats environment
-    assert resolve_backend_name(BACKEND_VECTOR) == BACKEND_VECTOR
-
-
-def test_resolve_backend_name_rejects_unknown(monkeypatch):
+def test_resolve_concrete_backend_rejects_unknown():
     with pytest.raises(ValueError, match="unknown sim backend"):
-        resolve_backend_name("gpu")
-    monkeypatch.setenv(BACKEND_ENV, "bogus")
-    with pytest.raises(ValueError, match="unknown sim backend"):
-        resolve_backend_name(None)
+        resolve_concrete_backend("gpu", 10)
+    assert resolve_concrete_backend(BACKEND_PACKED, 10_000) == BACKEND_PACKED
 
 
-def test_flow_config_validates_backend(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    with pytest.raises(ValueError, match="unknown sim backend"):
-        FlowConfig(sim_backend="bogus")
-    assert FlowConfig(sim_backend="packed").effective_sim_backend() == \
-        BACKEND_PACKED
-    assert FlowConfig().effective_sim_backend() == BACKEND_AUTO
-
-
-def test_auto_keeps_small_fault_lists_packed(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
+def test_auto_keeps_small_fault_lists_packed():
     assert resolve_concrete_backend(
         BACKEND_AUTO, AUTO_MIN_FAULTS - 1) == BACKEND_PACKED
 
 
-@pytest.mark.skipif(not vector_available(),
-                    reason="vector backend unavailable")
-def test_auto_picks_vector_for_large_fault_lists(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
+@requires_vector
+def test_auto_picks_vector_for_large_fault_lists():
     assert resolve_concrete_backend(
         BACKEND_AUTO, AUTO_MIN_FAULTS) == BACKEND_VECTOR
 
 
-@pytest.mark.skipif(not vector_available(),
-                    reason="vector backend unavailable")
-def test_auto_picks_vector_for_big_circuits(monkeypatch):
+@requires_vector
+def test_auto_picks_vector_for_big_circuits():
     """Single-fault minis on a big circuit go vector: the packed Python
     step costs milliseconds at 10k gates while the kernel program is
     fingerprint-cached on the circuit."""
     from repro.sim.backend import AUTO_MIN_GATES
 
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
     assert resolve_concrete_backend(
         BACKEND_AUTO, 1, AUTO_MIN_GATES) == BACKEND_VECTOR
     assert resolve_concrete_backend(
         BACKEND_AUTO, 1, AUTO_MIN_GATES - 1) == BACKEND_PACKED
 
 
-@requires_numpy
-@pytest.mark.parametrize("engine", ENGINES)
+@requires_vector
 @pytest.mark.parametrize("num_faults", [1, 40, 63, 64, 150])
-def test_flop_state_queries_match_packed(engine, num_faults):
+def test_flop_state_queries_match_packed(num_faults):
     """``ff_effect_masks`` / ``machine_state`` read the planes in one
     conversion; they must equal the packed reference at W=1 (up to 63
     faults) and at multi-word widths, after per-machine loads and
@@ -347,7 +363,7 @@ def test_flop_state_queries_match_packed(engine, num_faults):
     circuit = insert_scan(random_circuit("ffq", 4, 9, 60, seed=5)).circuit
     faults = collapse_faults(circuit)[:num_faults]
     packed = PackedFaultSimulator(circuit, faults)
-    vector = _vector_sim(circuit, faults, engine)
+    vector = _vector_sim(circuit, faults)
     assert vector.W == (len(faults) + 64) // 64
     rng = random.Random(num_faults)
     states = [tuple(rng.choice((0, 1, 2)) for _ in circuit.flops)
@@ -363,20 +379,19 @@ def test_flop_state_queries_match_packed(engine, num_faults):
                 packed.machine_state(machine)
 
 
-@pytest.mark.skipif("c" not in ENGINES, reason="no C engine")
+@requires_vector
 def test_c_step_rejects_short_vectors():
     """The C step reads one byte per primary input: a short vector must
     raise instead of reading past its buffer."""
     circuit = s27()
-    sim = _vector_sim(circuit, collapse_faults(circuit)[:1], "c")
+    sim = _vector_sim(circuit, collapse_faults(circuit)[:1])
     with pytest.raises(ValueError, match="primary inputs"):
         sim.step((0,) * (circuit.num_inputs - 1))
     sim.step((0,) * circuit.num_inputs)
 
 
-@pytest.mark.skipif(not vector_available(),
-                    reason="vector backend unavailable")
-def test_seq_atpg_auto_minis_bit_identical_to_packed(monkeypatch):
+@requires_vector
+def test_seq_atpg_auto_minis_bit_identical_to_packed():
     """On s386 (123 scan gates, above ``AUTO_MIN_GATES``) ``auto`` runs
     the beam-search minis on the kernel; sequences, detection times and
     aborts must equal an all-packed run."""
@@ -384,22 +399,24 @@ def test_seq_atpg_auto_minis_bit_identical_to_packed(monkeypatch):
     from repro.experiments import suite
     from repro.sim.backend import AUTO_MIN_GATES
 
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
     circuit = insert_scan(suite.build_circuit("s386")).circuit
     assert circuit.num_gates >= AUTO_MIN_GATES
     faults = collapse_faults(circuit)
     config = suite.atpg_config_for("s386")
     results = {}
-    for name in (BACKEND_PACKED, BACKEND_AUTO):
+    for name, factory in ((BACKEND_PACKED, PackedFaultSimulator),
+                          (BACKEND_AUTO, None)):
         with obs.session() as telemetry:
             results[name] = SequentialATPG(
-                circuit, faults, config=config, sim_backend=name).generate()
+                circuit, faults, config=config,
+                simulator_factory=factory).generate()
         counters = telemetry.metrics.snapshot()["counters"]
         if name == BACKEND_AUTO:
             # the global simulator plus at least one mini per target
             assert counters["faultsim.backend.vector"] > 1
             assert "faultsim.backend.packed" not in counters
         else:
+            # the factory builds simulators directly: no backend builds
             assert "faultsim.backend.vector" not in counters
     packed, auto = results[BACKEND_PACKED], results[BACKEND_AUTO]
     assert auto.sequence.vectors == packed.sequence.vectors
@@ -411,6 +428,34 @@ def test_seq_atpg_auto_minis_bit_identical_to_packed(monkeypatch):
 def test_auto_degrades_without_numpy(monkeypatch):
     monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
     assert resolve_concrete_backend(BACKEND_AUTO, 10_000) == BACKEND_PACKED
+
+
+def test_auto_runs_packed_without_c_library(monkeypatch):
+    """No C compiler: ``auto`` builds only packed simulators and the
+    flow's result is bit-identical to the one with the kernel."""
+    pytest.importorskip("numpy")  # the kernel module itself needs it
+    from repro.sim import kernel
+
+    def outcome(flow):
+        return (flow.omitted.sequence.vectors, flow.fault_coverage,
+                flow.raw.vectors, flow.untestable)
+
+    with obs.session() as telemetry:
+        reference = generation_flow(s27(), FlowConfig(seed=1))
+    expected = outcome(reference)
+    if vector_available():  # else both runs are packed-only anyway
+        assert telemetry.metrics.snapshot()["counters"][
+            "faultsim.backend.vector"] > 0
+    monkeypatch.setattr(kernel, "load_kernel_library", lambda: None)
+    assert resolve_concrete_backend(None, 10_000, 10_000) == BACKEND_PACKED
+    with pytest.raises(RuntimeError, match="C compiler"):
+        kernel.VectorFaultSimulator(s27(), collapse_faults(s27()))
+    with obs.session() as telemetry_no_c:
+        flow = generation_flow(s27(), FlowConfig(seed=1))
+    counters = telemetry_no_c.metrics.snapshot()["counters"]
+    assert counters["faultsim.backend.packed"] > 0
+    assert "faultsim.backend.vector" not in counters
+    assert outcome(flow) == expected
 
 
 def test_explicit_vector_without_numpy_raises(monkeypatch):
@@ -427,7 +472,7 @@ def test_make_backend_protocol_conformance():
     sim = make_backend(circuit, faults, BACKEND_PACKED)
     assert isinstance(sim, SimBackend)
     assert type(sim).backend_name == BACKEND_PACKED
-    if numpy_available():
+    if vector_available():
         vec = make_backend(CIRCUITS["scan_mid"](),
                            collapse_faults(CIRCUITS["scan_mid"]()),
                            BACKEND_VECTOR)
@@ -435,38 +480,17 @@ def test_make_backend_protocol_conformance():
         assert type(vec).backend_name == BACKEND_VECTOR
 
 
-# -- deprecation shim for explicit PackedFaultSimulator factories ------------
-
-
-def test_explicit_packed_factory_warns_once():
-    circuit = s27()
-    faults = collapse_faults(circuit)
-    backend_mod._WARNED_FACTORY.discard("SimSession")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        session = SimSession(circuit, faults,
-                             simulator_factory=PackedFaultSimulator)
-        session.close()
-        session = SimSession(circuit, faults,
-                             simulator_factory=PackedFaultSimulator)
-        session.close()
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "simulator_factory" in str(w.message)]
-    assert len(deprecations) == 1  # once per owner per process
-    assert "sim_backend='packed'" in str(deprecations[0].message)
+# -- custom simulator factories ----------------------------------------------
 
 
 def test_explicit_packed_factory_still_works():
     circuit = s27()
     faults = collapse_faults(circuit)
     vectors = random_vectors(circuit, 12, seed=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        session = SimSession(circuit, faults,
-                             simulator_factory=PackedFaultSimulator)
+    session = SimSession(circuit, faults,
+                         simulator_factory=PackedFaultSimulator)
     try:
-        assert session.sim_backend == BACKEND_PACKED
+        assert type(session._sim) is PackedFaultSimulator
         reference = SimSession(circuit, faults, sim_backend=BACKEND_PACKED)
         assert session.detection_times(vectors) == \
             reference.detection_times(vectors)
@@ -490,20 +514,6 @@ def test_custom_factory_passes_through_unwarned():
     assert calls == [len(faults)]
     assert session.sim_backend is None  # custom factories are unnamed
     session.close()
-
-
-def test_custom_factory_conflicts_with_backend_name():
-    with pytest.raises(TypeError, match="cannot combine"):
-        coerce_simulator_factory(lambda c, f: None, BACKEND_VECTOR, "owner")
-
-
-def test_packed_factory_conflicts_with_vector_name():
-    backend_mod._WARNED_FACTORY.discard("owner")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(TypeError, match="conflicts"):
-            coerce_simulator_factory(
-                PackedFaultSimulator, BACKEND_VECTOR, "owner")
 
 
 # -- telemetry: the faultsim.backend signal ----------------------------------
