@@ -72,7 +72,7 @@ def run():
         list(results["packed"].detection_time), "dict order diverged"
 
     vectors = _vectors(circuit, PARALLEL_VECTORS, seed=8)
-    session = SimSession(circuit, faults, checkpoint_interval=0)
+    session = SimSession(circuit, faults)
     with obs.span("bench_corpus.serial"):
         start = time.perf_counter()
         serial = session.detection_times(vectors)

@@ -210,16 +210,14 @@ def flow_overrides(spec: str, seed_offset: int = 0) -> Dict[str, object]:
     """`FlowConfig.replace` overrides for running a corpus-spec flow.
 
     Applied by the CLI when the circuit argument is ``corpus:<name>``:
-    reduced ATPG effort, no per-fault PODEM redundancy proofs (hours at
-    this scale), and the automatic checkpoint-interval policy.  The
-    Section 2 completions are also off: each scan-out completion
-    appends a whole chain flush (``flops + 1`` vectors — 535 at
-    s15850), which the quadratic omission sweep then pays for.  PODEM
-    justification stays off with them, although it costs only about
-    4 ms per detected and 0.15 s per aborted target on
-    ``synth_like("s9234")``.
-    All but ``atpg``/``baseline``/``classify_redundant`` and the
-    completion toggles are speed-only knobs.
+    reduced ATPG effort and no per-fault PODEM redundancy proofs (hours
+    at this scale).  The Section 2 completions are also off: each
+    scan-out completion appends a whole chain flush (``flops + 1``
+    vectors — 535 at s15850), which the quadratic omission sweep then
+    pays for.  PODEM justification stays off with them, although it
+    costs only about 4 ms per detected and 0.15 s per aborted target on
+    ``synth_like("s9234")``.  Every override is semantic: it feeds the
+    run-config fingerprint.
     """
     name = corpus_name(spec) if is_corpus_spec(spec) else spec
     return {
@@ -228,5 +226,4 @@ def flow_overrides(spec: str, seed_offset: int = 0) -> Dict[str, object]:
         "classify_redundant": False,
         "use_scan_knowledge": False,
         "use_justification": False,
-        "checkpoint_interval": 0,
     }

@@ -25,13 +25,11 @@ Subcommands::
 to a ``.bench`` / structural-``.v`` file of a sequential circuit.
 
 The flow-running subcommands (``generate``, ``translate``, ``profile``,
-``export``) also accept ``--checkpoint-interval K``, which tunes the
-incremental fault-simulation session (see :class:`repro.FlowConfig`),
-and ``--jobs N``, which fans the heavy full-universe fault-sim queries
-out across N worker processes (see :mod:`repro.parallel`; results are
-bit-identical at every N).  ``table`` and ``report`` interpret
-``--jobs`` at circuit granularity: whole per-circuit flows run N at a
-time.
+``export``) also accept ``--jobs N``, which fans the heavy
+full-universe fault-sim queries out across N worker processes (see
+:mod:`repro.parallel`; results are bit-identical at every N).
+``table`` and ``report`` interpret ``--jobs`` at circuit granularity:
+whole per-circuit flows run N at a time.
 
 ``--cache [DIR]`` turns on the content-addressed result store (see
 :mod:`repro.cache`): expensive stage results (fault collapse, per-fault
@@ -148,23 +146,16 @@ def _flow_config(args: argparse.Namespace, **overrides) -> FlowConfig:
 
     A ``corpus:<name>`` circuit argument additionally applies the
     corpus-scale presets (reduced ATPG effort, no PODEM redundancy
-    proofs, auto checkpoint policy); an explicit
-    ``--checkpoint-interval`` still wins over the preset.
+    proofs).
     """
     name = getattr(args, "circuit", None)
     if isinstance(name, str) and corpus_mod.is_corpus_spec(name):
         corpus_over = corpus_mod.flow_overrides(name, seed_offset=args.seed)
     else:
         corpus_over = {}
-    interval = args.checkpoint_interval
-    if interval is None:
-        interval = corpus_over.pop("checkpoint_interval", 4)
-    else:
-        corpus_over.pop("checkpoint_interval", None)
     corpus_over.update(overrides)
     return FlowConfig(
         seed=args.seed,
-        checkpoint_interval=interval,
         jobs=args.jobs,
         cache_dir=_cache_dir(args),
         run_index=_run_index_arg(args),
@@ -661,12 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     flowopts = argparse.ArgumentParser(add_help=False)
     flow_group = flowopts.add_argument_group("flow")
     flow_group.add_argument("--seed", type=int, default=0)
-    flow_group.add_argument(
-        "--checkpoint-interval", type=int, default=None, metavar="K",
-        help="cycles between packed-state checkpoints in the "
-             "incremental fault-sim session (default 4; 0 = auto "
-             "policy scaled to sequence length, the default for "
-             "corpus:<name> circuits)")
     flow_group.add_argument(
         "--jobs", type=int, default=0, metavar="N",
         help="worker processes for fault-sharded parallel simulation "

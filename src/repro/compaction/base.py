@@ -40,9 +40,9 @@ from ..sim.session import SimSession
 class CompactionOracle:
     """Detection oracle over a fixed circuit and target fault list.
 
-    ``checkpoint_interval`` and ``incremental`` tune the underlying
-    :class:`SimSession`; ``incremental=False`` restarts every query from
-    cycle 0 (the baseline the perf guards measure against).  The
+    ``incremental=False`` makes the underlying :class:`SimSession`
+    restart every query from cycle 0 (the baseline the perf guards
+    measure against).  The
     simulation backend is chosen by the session (every standard backend
     is bit-identical); ``simulator_factory`` overrides it with a custom
     API-compatible factory.
@@ -50,7 +50,6 @@ class CompactionOracle:
 
     def __init__(self, circuit: Circuit, faults: Sequence[Fault],
                  simulator_factory=None,
-                 checkpoint_interval: int = 4,
                  incremental: bool = True,
                  jobs: int = 1,
                  store=None):
@@ -63,13 +62,11 @@ class CompactionOracle:
         self.session = SimSession(
             circuit,
             self.faults,
-            checkpoint_interval=checkpoint_interval,
             simulator_factory=simulator_factory,
             incremental=incremental,
         )
         self._position = {f: i + 1 for i, f in enumerate(self.faults)}
         self.jobs = jobs
-        self._checkpoint_interval = checkpoint_interval
         self._parallel = None
         # Full-universe detection_times results are memoized in the
         # content-addressed store when one is attached; custom simulator
@@ -147,7 +144,6 @@ class CompactionOracle:
 
             self._parallel = ParallelFaultSim(
                 self.circuit, self.faults, self.jobs,
-                checkpoint_interval=self._checkpoint_interval,
                 sim_backend=self.session.sim_backend,
                 costs=self._warm_costs(),
             )

@@ -16,8 +16,10 @@ experiment is reproducible from one value::
 ``FlowConfig`` is frozen; derive variants with :meth:`FlowConfig.replace`
 (a thin wrapper over :func:`dataclasses.replace`).
 
-Which simulation backend runs is not a configuration choice: the code
-picks it from what it can observe (see :mod:`repro.sim.backend`).
+Which simulation backend runs, and how often the fault-sim session
+checkpoints, are not configuration choices: the code picks them from
+what it can observe (see :mod:`repro.sim.backend` and
+:mod:`repro.sim.session`).
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from ..atpg.seq_atpg import SeqATPGConfig
 #: (:func:`repro.obs.history.run_config_fingerprint`) that keys the run
 #: history and the serve daemon's dedup; the result cache's stage keys
 #: never see these fields either.  One declaration, so all three agree.
-SPEED_FIELDS = frozenset({"checkpoint_interval", "jobs", "cache_dir",
-                          "run_index"})
+SPEED_FIELDS = frozenset({"jobs", "cache_dir", "run_index"})
 
 
 @dataclass(frozen=True)
@@ -60,11 +61,6 @@ class FlowConfig:
     redundancy_backtrack_limit: int = 20000
     #: Omission sweeps over the sequence (1 = single backward pass).
     max_omission_passes: int = 1
-    #: Cycles between packed-state checkpoints in the fault-sim session;
-    #: ``0`` selects the automatic policy (interval scales with sequence
-    #: length, memory-bounded via ``REPRO_CHECKPOINT_MB``).  A pure
-    #: speed/memory knob: results are bit-identical at every value.
-    checkpoint_interval: int = 4
     #: Worker processes for fault-sharded parallel simulation of the
     #: heavy full-universe queries (see :mod:`repro.parallel`).  ``0``
     #: defers to the ``REPRO_JOBS`` environment variable, defaulting to
@@ -74,8 +70,8 @@ class FlowConfig:
     #: Root directory of the content-addressed result store (see
     #: :mod:`repro.cache`).  ``None`` defers to the ``REPRO_CACHE``
     #: environment variable; empty/unset both means caching off.  Like
-    #: ``jobs``/``checkpoint_interval``, this knob cannot change result
-    #: bits — warm runs are bit-identical to cold ones.
+    #: ``jobs``, this knob cannot change result bits — warm runs are
+    #: bit-identical to cold ones.
     cache_dir: Optional[str] = None
     #: Run-history index database (see :mod:`repro.obs.history`):
     #: every finished flow appends one run record there.  ``None``
@@ -92,8 +88,6 @@ class FlowConfig:
     baseline: Optional[Any] = None
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be >= 0 (0 = auto)")
         if self.max_omission_passes < 1:
             raise ValueError("max_omission_passes must be >= 1")
         if self.num_chains < 1:

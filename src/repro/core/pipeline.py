@@ -391,10 +391,5 @@ def _flow_config(name: str, config: Optional[FlowConfig]) -> FlowConfig:
 
 
 def _make_oracle(circuit: Circuit, faults, cfg: FlowConfig, store):
-    return CompactionOracle(
-        circuit,
-        faults,
-        checkpoint_interval=cfg.checkpoint_interval,
-        jobs=cfg.effective_jobs(),
-        store=store,
-    )
+    return CompactionOracle(circuit, faults, jobs=cfg.effective_jobs(),
+                            store=store)

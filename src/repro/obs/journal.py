@@ -62,6 +62,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..envvars import env_number
+
 SCHEMA = "repro.obs.journal/1"
 
 #: ``src`` label of the synthetic open/close wrapper merge_journals adds.
@@ -90,14 +92,8 @@ def resolve_journal_max_bytes(max_mb: Optional[float] = None
     """The rotation cap in bytes: the explicit argument, else
     ``$REPRO_JOURNAL_MAX_MB``, else ``None`` (no rotation)."""
     if max_mb is None:
-        raw = os.environ.get(MAX_MB_ENV, "").strip()
-        if not raw:
-            return None
-        try:
-            max_mb = float(raw)
-        except ValueError:
-            return None
-    if max_mb <= 0:
+        max_mb = env_number(MAX_MB_ENV)
+    if max_mb is None or max_mb <= 0:
         return None
     return int(max_mb * 1024 * 1024)
 

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..circuit.netlist import Circuit
+from ..envvars import env_number
 from ..faults.model import Fault
 from ..obs import context as obs
 from ..obs.journal import merge_journals
@@ -121,12 +121,10 @@ class ParallelFaultSim:
     jobs:
         Worker processes; ``0`` resolves via ``REPRO_JOBS`` (see
         :func:`~repro.parallel.plan.resolve_jobs`).
-    strategy:
-        ``"round_robin"``, ``"cost"``, or ``"auto"`` (cost when
-        ``costs`` is given, else round-robin).
     costs:
         Optional per-position cost estimates (e.g. from
-        :func:`~repro.parallel.plan.costs_from_detection_times`).
+        :func:`~repro.parallel.plan.costs_from_detection_times`); with
+        them shards are LPT-packed, without them round-robin.
     min_parallel_faults:
         Universes below this size always run serially.
     timeout / max_retries / start_method:
@@ -143,10 +141,8 @@ class ParallelFaultSim:
         faults: Sequence[Fault],
         jobs: int = 0,
         *,
-        strategy: str = "auto",
         costs: Optional[Sequence[float]] = None,
         min_parallel_faults: int = DEFAULT_MIN_PARALLEL_FAULTS,
-        checkpoint_interval: int = 4,
         timeout: Optional[float] = None,
         max_retries: int = 2,
         start_method: Optional[str] = None,
@@ -159,12 +155,8 @@ class ParallelFaultSim:
         #: the serial fallback and every pool worker use the same one.
         self.sim_backend = resolve_concrete_backend(
             sim_backend, len(self.faults), circuit.num_gates)
-        if strategy == "auto":
-            strategy = "cost" if costs is not None else "round_robin"
-        self.strategy = strategy
         self.costs = list(costs) if costs is not None else None
         self.min_parallel_faults = min_parallel_faults
-        self.checkpoint_interval = checkpoint_interval
         self.timeout = timeout
         self.max_retries = max_retries
         self.start_method = start_method
@@ -202,10 +194,8 @@ class ParallelFaultSim:
         thinner shards (extra shards queue over the same workers; any
         plan merges bit-identically, so the bound is memory-only).
         """
-        return plan_shards(
-            len(self.faults), self._shard_count(jobs or self.jobs),
-            strategy=self.strategy, costs=self.costs,
-        )
+        return plan_shards(len(self.faults),
+                           self._shard_count(jobs or self.jobs), self.costs)
 
     def _shard_count(self, jobs: int) -> int:
         """``jobs``, raised so each shard's packed planes fit the
@@ -214,15 +204,10 @@ class ParallelFaultSim:
         Estimate: two planes (value/care) per net, one bit per fault
         machine — within a small constant of both the packed-bigint and
         vector backends at 10k-gate scale."""
-        raw = os.environ.get(SHARD_MB_ENV, "")
-        if not raw:
+        budget_mb = env_number(SHARD_MB_ENV)
+        if budget_mb is None or budget_mb <= 0:
             return jobs
-        try:
-            budget = float(raw) * 1_000_000
-        except ValueError:
-            return jobs
-        if budget <= 0:
-            return jobs
+        budget = budget_mb * 1_000_000
         nets = len(self.circuit.nets())
         plane_bytes = 2 * nets * ((len(self.faults) + 1 + 7) // 8)
         return max(jobs, math.ceil(plane_bytes / budget))
@@ -275,7 +260,6 @@ class ParallelFaultSim:
             context = WorkerContext(
                 circuit=_strip_caches(self.circuit),
                 faults=tuple(self.faults),
-                checkpoint_interval=self.checkpoint_interval,
                 sim_backend=self.sim_backend,
                 trace_base=trace_base,
                 trace_id=trace_id,

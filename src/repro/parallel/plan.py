@@ -9,17 +9,17 @@ serial one, which is what makes the merged result bit-for-bit equal to
 a serial run (machines are simulated independently in the packed
 planes; see ``docs/ARCHITECTURE.md``).
 
-Two strategies:
+The planner picks one of two strategies from what it is given:
 
-``round_robin``
+``round_robin`` (no costs)
     Shard ``i`` takes positions ``i, i + K, i + 2K, ...``.  With no
     cost information this is the best static spread: faults that are
     structurally close (and therefore tend to cost the same) land in
     different shards.
 
-``cost``
-    Greedy longest-processing-time bin packing over a per-fault cost
-    model.  Per-fault cost varies wildly — Pomeranz & Reddy's
+``cost`` (costs given)
+    Greedy longest-processing-time (LPT) bin packing over a per-fault
+    cost model.  Per-fault cost varies wildly — Pomeranz & Reddy's
     accidental-detection work shows hard-to-detect faults dominate
     simulation effort — so when detection-time data is available (from
     the fault ledger, a previous run, or
@@ -32,11 +32,10 @@ identical plan, and every position appears in exactly one shard.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-STRATEGIES = ("round_robin", "cost")
+from ..envvars import env_number
 
 #: Environment variable consulted when a ``jobs`` knob is 0/None.
 JOBS_ENV = "REPRO_JOBS"
@@ -56,15 +55,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     (telemetry off by default, compaction knobs explicit).
     """
     if jobs is None or jobs == 0:
-        env = os.environ.get(JOBS_ENV, "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{JOBS_ENV}={env!r} is not an integer") from None
-        else:
-            jobs = 1
+        jobs = env_number(JOBS_ENV, int) or 1
     return max(1, jobs)
 
 
@@ -98,6 +89,7 @@ class ShardPlan:
     """A complete partition of ``num_faults`` positions into shards."""
 
     num_faults: int
+    #: ``"cost"`` or ``"round_robin"`` — a telemetry label.
     strategy: str
     shards: Tuple[Shard, ...]
 
@@ -125,27 +117,22 @@ class ShardPlan:
 def plan_shards(
     num_faults: int,
     jobs: int,
-    strategy: str = "round_robin",
     costs: Optional[Sequence[float]] = None,
 ) -> ShardPlan:
     """Partition ``num_faults`` positions into up to ``jobs`` shards.
 
-    ``costs`` (aligned with positions) selects the ``cost`` strategy's
-    load estimates; it is required for ``strategy="cost"``.  Fewer
-    faults than jobs produce fewer (non-empty) shards.
+    ``costs`` (aligned with positions) selects LPT packing over those
+    load estimates; without them the plan is round-robin.  Fewer faults
+    than jobs produce fewer (non-empty) shards.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown shard strategy {strategy!r}; pick from {STRATEGIES}")
+    strategy = "round_robin" if costs is None else "cost"
     if num_faults < 0:
         raise ValueError("num_faults must be >= 0")
     k = max(1, min(jobs, num_faults))
     if num_faults == 0:
         return ShardPlan(0, strategy, ())
 
-    if strategy == "cost":
-        if costs is None:
-            raise ValueError("strategy='cost' needs a costs sequence")
+    if costs is not None:
         if len(costs) != num_faults:
             raise ValueError(
                 f"costs has {len(costs)} entries for {num_faults} faults")

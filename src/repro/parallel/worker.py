@@ -45,6 +45,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from ..circuit.netlist import Circuit
+from ..envvars import env_number
 from ..faults.model import Fault
 from ..obs import context as obs
 from ..obs.journal import RunJournal, worker_journal_path
@@ -66,13 +67,8 @@ def resolve_heartbeat_interval(
         default: float = DEFAULT_HEARTBEAT_INTERVAL) -> float:
     """Heartbeat period from :data:`HEARTBEAT_ENV`, else ``default``;
     values <= 0 disable heartbeats."""
-    raw = os.environ.get(HEARTBEAT_ENV, "").strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
+    interval = env_number(HEARTBEAT_ENV)
+    return default if interval is None else interval
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,6 @@ class WorkerContext:
 
     circuit: Circuit
     faults: Tuple[Fault, ...]
-    checkpoint_interval: int = 4
     #: Concrete simulation backend name the engine pinned (``None`` =
     #: let each worker's session resolve ``auto`` itself).  Passing the
     #: parent's choice keeps the whole pool on one backend; results are
@@ -276,11 +271,8 @@ def run_shard(
     fallback (no module state needed)."""
     start = perf_counter()
     faults = [context.faults[p] for p in task.positions]
-    session = SimSession(
-        context.circuit, faults,
-        checkpoint_interval=context.checkpoint_interval,
-        sim_backend=context.sim_backend,
-    )
+    session = SimSession(context.circuit, faults,
+                         sim_backend=context.sim_backend)
     span_id = ""
     span_path = f"shard.{task.shard_index}"
     if journal is not None:

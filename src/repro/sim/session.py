@@ -7,12 +7,14 @@ the omitted vector, restoration trials share everything outside one
 span, tail-trimming trials are literal prefixes of each other.  A
 :class:`SimSession` wraps one packed simulator and exploits that:
 
-* **Checkpointing** — every ``checkpoint_interval`` cycles the packed
-  flip-flop planes are snapshotted.  A query first computes the longest
-  common prefix between its vector sequence and the previous timeline,
-  restores the latest checkpoint at or before that point, and simulates
-  only the suffix.  Checkpoints beyond the first modified cycle are
-  discarded (they describe a timeline that no longer exists).
+* **Checkpointing** — every :data:`CHECKPOINT_INTERVAL` cycles the
+  packed flip-flop planes are snapshotted (less often when the
+  snapshots would outgrow :func:`checkpoint_budget_bytes`).  A query
+  first computes the longest common prefix between its vector sequence
+  and the previous timeline, restores the latest checkpoint at or
+  before that point, and simulates only the suffix.  Checkpoints
+  beyond the first modified cycle are discarded (they describe a
+  timeline that no longer exists).
 * **Fault dropping** — callers may :meth:`drop` faults they no longer
   care about (already secured by an earlier prefix, say).  Dropped
   faults stop being reported immediately, and once the live set shrinks
@@ -39,16 +41,37 @@ Correctness invariants:
 
 from __future__ import annotations
 
-import math
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..circuit.netlist import Circuit
+from ..envvars import env_number
 from ..faults.model import Fault
 from ..obs import context as obs
 from ..obs import ledger
 from .backend import backend_class, make_backend, resolve_concrete_backend
 from .logic_sim import vector_from_string
+
+
+#: Cycles between packed-state snapshots, widened only when the
+#: snapshots would exceed the memory budget.
+CHECKPOINT_INTERVAL = 4
+
+#: Environment variable bounding estimated total snapshot memory (MB)
+#: per session; ``0`` or negative means unbounded.
+CHECKPOINT_MB_ENV = "REPRO_CHECKPOINT_MB"
+
+#: Snapshot memory budget (MB) when :data:`CHECKPOINT_MB_ENV` is unset.
+DEFAULT_CHECKPOINT_MB = 256
+
+
+def checkpoint_budget_bytes() -> Optional[float]:
+    """Per-session snapshot memory budget in bytes (``None`` = unbounded):
+    ``$REPRO_CHECKPOINT_MB`` when set, else :data:`DEFAULT_CHECKPOINT_MB`.
+    A malformed value raises ``ValueError``."""
+    mb = env_number(CHECKPOINT_MB_ENV)
+    if mb is None:
+        mb = DEFAULT_CHECKPOINT_MB
+    return mb * 1_000_000 if mb > 0 else None
 
 
 def _popcount(mask: int) -> int:
@@ -84,17 +107,6 @@ class SimSession:
         Fault universe.  Defines the *external* mask convention for the
         session's lifetime: bit ``i + 1`` of every mask refers to
         ``faults[i]``, regardless of dropping/repacking.
-    checkpoint_interval:
-        Snapshot the packed state every this many cycles (also at the
-        end of each query).  Smaller means finer resume granularity but
-        more snapshot overhead.  ``0`` selects an automatic policy:
-        the interval scales with each query's sequence length
-        (``max(4, isqrt(n))``) so snapshot memory grows as ``sqrt(n)``
-        rather than linearly at 10k-gate scale.  Independently, the
-        ``REPRO_CHECKPOINT_MB`` environment variable bounds estimated
-        total snapshot memory by widening the effective interval —
-        a speed/memory knob only; detection results are bit-identical
-        for every interval.
     sim_backend:
         ``None`` (default) resolves the backend through
         :func:`~repro.sim.backend.resolve_concrete_backend`; a concrete
@@ -117,16 +129,13 @@ class SimSession:
         circuit: Circuit,
         faults: Sequence[Fault],
         *,
-        checkpoint_interval: int = 4,
         simulator_factory=None,
         sim_backend: Optional[str] = None,
         incremental: bool = True,
     ):
-        if checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be >= 0 (0 = auto)")
         self.circuit = circuit
         self.faults = list(faults)
-        self.checkpoint_interval = checkpoint_interval
+        self._checkpoint_budget = checkpoint_budget_bytes()
         self.incremental = incremental
         if simulator_factory is None:
             #: Concrete backend name pinned for the session's lifetime
@@ -333,31 +342,18 @@ class SimSession:
         return flops * ((machines + 7) // 8)
 
     def _effective_interval(self, n: int) -> int:
-        """Checkpoint interval for a query over ``n`` vectors.
-
-        A configured interval >= 1 is used as-is; ``0`` scales with the
-        sequence length so snapshot count (hence memory) grows as
-        ``sqrt(n)``.  ``REPRO_CHECKPOINT_MB``, when set, additionally
-        widens the interval until estimated snapshot memory fits the
-        budget.  Interval choice only affects resume granularity, never
-        detection bits.
+        """Checkpoint interval for a query over ``n`` vectors:
+        :data:`CHECKPOINT_INTERVAL`, widened until the estimated snapshot
+        memory fits the session's budget.  Interval choice only affects
+        resume granularity, never detection bits.
         """
-        if self.checkpoint_interval:
-            interval = self.checkpoint_interval
-        else:
-            interval = max(4, math.isqrt(max(n, 1)))
-        budget_mb = os.environ.get("REPRO_CHECKPOINT_MB", "")
-        if budget_mb:
-            try:
-                budget = float(budget_mb) * 1_000_000
-            except ValueError:
-                budget = 0.0
-            if budget > 0:
-                per_cp = max(1, self._token_bytes_estimate())
-                max_checkpoints = max(2, int(budget // per_cp))
-                if n // interval + 1 > max_checkpoints:
-                    interval = -(-n // max_checkpoints)  # ceil div
-        return max(1, interval)
+        budget = self._checkpoint_budget
+        if budget is not None:
+            per_cp = max(1, self._token_bytes_estimate())
+            max_checkpoints = max(1, int(budget // per_cp))
+            if n // CHECKPOINT_INTERVAL + 1 > max_checkpoints:
+                return -(-n // max_checkpoints)  # ceil div
+        return CHECKPOINT_INTERVAL
 
     @staticmethod
     def _normalize(vectors: Iterable[Sequence[int]]) -> List[Tuple[int, ...]]:

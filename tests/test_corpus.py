@@ -247,7 +247,6 @@ class TestCorpusRegistry:
         assert over["classify_redundant"] is False
         assert over["use_scan_knowledge"] is False
         assert over["use_justification"] is False
-        assert over["checkpoint_interval"] == 0
         # Deterministic: the same spec always yields the same preset.
         assert flow_overrides("corpus:s15850") == over
         # The overrides must all be FlowConfig fields.
@@ -327,32 +326,42 @@ class TestCli:
 # -- scale machinery stays bit-identical --------------------------------------
 
 class TestScaleKnobs:
-    def _times(self, monkeypatch, **session_kwargs):
+    VECTORS = 40
+
+    def _session(self):
         from repro.faults.collapse import collapse_faults
         from repro.sim.session import SimSession
-        from tests.util import random_vectors
 
         circuit = random_circuit("sk", 5, 8, 60, seed=21)
-        faults = collapse_faults(circuit)
-        session = SimSession(circuit, faults, **session_kwargs)
-        vectors = random_vectors(circuit, 40, seed=2)
+        return SimSession(circuit, collapse_faults(circuit))
+
+    def _times(self, session):
+        from tests.util import random_vectors
+
+        vectors = random_vectors(session.circuit, self.VECTORS, seed=2)
         times = session.detection_times(vectors)
         # A second, prefix-sharing query exercises checkpoint resume.
         again = session.detection_times(vectors[:25])
-        return times, again
+        return list(times.items()), list(again.items())
 
-    def test_auto_interval_bit_identical(self, monkeypatch):
+    @pytest.mark.parametrize("checkpoints, interval", [
+        (None, 4),      # default budget: the standard grid
+        (6, 7),         # ceil(40 / 6): an odd width
+        (1, VECTORS),   # one snapshot: the whole sequence
+    ], ids=["interval4", "odd", "whole"])
+    def test_memory_budget_bit_identical(self, monkeypatch, checkpoints,
+                                         interval):
         monkeypatch.delenv("REPRO_CHECKPOINT_MB", raising=False)
-        base = self._times(monkeypatch, checkpoint_interval=4)
-        auto = self._times(monkeypatch, checkpoint_interval=0)
-        assert base == auto
-
-    def test_memory_budget_bit_identical(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKPOINT_MB", raising=False)
-        base = self._times(monkeypatch, checkpoint_interval=4)
-        monkeypatch.setenv("REPRO_CHECKPOINT_MB", "0.000001")
-        bounded = self._times(monkeypatch, checkpoint_interval=4)
-        assert base == bounded
+        session = self._session()
+        base = self._times(session)
+        if checkpoints is not None:
+            # Room for exactly ``checkpoints`` snapshots of this session.
+            per_cp = session._token_bytes_estimate()
+            budget_mb = per_cp * (checkpoints + 0.5) / 1_000_000
+            monkeypatch.setenv("REPRO_CHECKPOINT_MB", repr(budget_mb))
+        bounded = self._session()
+        assert bounded._effective_interval(self.VECTORS) == interval
+        assert self._times(bounded) == base
 
     def test_shard_memory_budget_bit_identical(self, monkeypatch):
         from repro.faults.collapse import collapse_faults

@@ -83,14 +83,20 @@ class TestConfigFingerprint:
                 != run_config_fingerprint(cfg, flow="translation"))
 
     def test_speed_knobs_do_not(self):
-        """jobs / checkpoint_interval / cache / run_index cannot change
-        result bits, so they must not split trend groups."""
+        """jobs / cache / run_index cannot change result bits, so they
+        must not split trend groups."""
         base = run_config_fingerprint(FlowConfig())
         for cfg in (FlowConfig(jobs=4),
-                    FlowConfig(checkpoint_interval=9),
                     FlowConfig(cache_dir="/tmp/x"),
                     FlowConfig(run_index="runs.sqlite")):
             assert run_config_fingerprint(cfg) == base
+
+    def test_default_generation_fingerprint_is_pinned(self):
+        """Run-history groups and serve dedup keys written by earlier
+        versions stay valid: removing a speed-only field must not move
+        the fingerprint of an existing config."""
+        assert run_config_fingerprint(FlowConfig()) == (
+            "86415e0da41f389795063f2388b46c82cb46fed469b157d2633cd5a5335272c0")
 
     def test_every_field_is_fingerprinted_or_speed_only(self):
         """Each FlowConfig field either moves the fingerprint or is

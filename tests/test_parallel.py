@@ -50,28 +50,29 @@ CIRCUITS = {
 def test_plan_partitions_every_position():
     for strategy, costs in (("round_robin", None),
                             ("cost", [float(i % 7) for i in range(100)])):
-        plan = plan_shards(100, 8, strategy=strategy, costs=costs)
+        plan = plan_shards(100, 8, costs)
+        assert plan.strategy == strategy
         seen = sorted(p for s in plan.shards for p in s.positions)
         assert seen == list(range(100))
 
 
 def test_plan_round_robin_layout():
-    plan = plan_shards(10, 3, strategy="round_robin")
+    plan = plan_shards(10, 3)
     assert [list(s.positions) for s in plan.shards] == [
         [0, 3, 6, 9], [1, 4, 7], [2, 5, 8]]
 
 
 def test_plan_is_deterministic():
     costs = [((i * 37) % 11) + 1.0 for i in range(60)]
-    a = plan_shards(60, 5, strategy="cost", costs=costs)
-    b = plan_shards(60, 5, strategy="cost", costs=costs)
+    a = plan_shards(60, 5, costs)
+    b = plan_shards(60, 5, costs)
     assert [s.positions for s in a.shards] == [s.positions for s in b.shards]
 
 
 def test_plan_cost_balances_heavy_tail():
     # One huge fault plus uniform rest: LPT puts the heavy one alone-ish.
     costs = [100.0] + [1.0] * 29
-    plan = plan_shards(30, 3, strategy="cost", costs=costs)
+    plan = plan_shards(30, 3, costs)
     loads = sorted(sum(costs[p] for p in s.positions) for s in plan.shards)
     # Round-robin would load the heavy shard at 100 + 9; LPT keeps the
     # other two balanced around (29)/2.
@@ -161,7 +162,7 @@ def test_parallel_identical_with_cost_strategy_and_early_stop():
         {i: t for i, (f, t) in enumerate(serial.detection_time.items())},
         len(faults))
     with ParallelFaultSim(
-        circuit, faults, jobs=3, strategy="cost", costs=costs,
+        circuit, faults, jobs=3, costs=costs,
         min_parallel_faults=1,
     ) as engine:
         par = engine.run(vectors, stop_when_all_detected=True)

@@ -121,13 +121,21 @@ class TestFlowConfig:
         assert (cfg.seed, cfg.num_chains) == (1, 2)
 
     def test_validation(self):
-        assert FlowConfig(checkpoint_interval=0).checkpoint_interval == 0
-        with pytest.raises(ValueError):
-            FlowConfig(checkpoint_interval=-1)
         with pytest.raises(ValueError):
             FlowConfig(max_omission_passes=0)
         with pytest.raises(ValueError):
             FlowConfig(num_chains=0)
+        with pytest.raises(TypeError):  # the session picks the interval
+            FlowConfig(**{"checkpoint_interval": 4})
+
+    def test_cli_has_no_checkpoint_flag(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["generate", "s27", "--checkpoint-interval", "4"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_legacy_positional_seed(self):
         """The flows take a FlowConfig or nothing: a bare seed is a

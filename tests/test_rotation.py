@@ -36,10 +36,6 @@ class TestCapResolution:
         assert resolve_journal_max_bytes(1) == 1024 * 1024
         assert resolve_journal_max_bytes(0) is None
 
-    def test_garbage_env_ignored(self, monkeypatch):
-        monkeypatch.setenv(MAX_MB_ENV, "lots")
-        assert resolve_journal_max_bytes() is None
-
 
 class TestRotation:
     def test_journal_rotates_at_cap(self, tmp_path):

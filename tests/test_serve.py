@@ -130,7 +130,6 @@ def test_fair_queue_drain_returns_leftovers():
 
 SPEED_KNOBS = {
     "jobs": 4,
-    "checkpoint_interval": 9,
     "cache_dir": "/tmp/some-cache",
     "run_index": "/tmp/some-index.sqlite",
 }
@@ -195,6 +194,9 @@ def test_parse_submission_rejects_garbage():
         parse_submission(["not", "an", "object"])
     with pytest.raises(SubmissionError, match="unknown config field"):
         parse_submission(submission({"bogus_knob": 1}))
+    # The session picks the checkpoint interval; no field sets it.
+    with pytest.raises(SubmissionError, match="unknown config field"):
+        parse_submission(submission({"checkpoint_interval": 4}))
     with pytest.raises(SubmissionError, match="unknown flow"):
         parse_submission(submission(flow="mystery"))
     with pytest.raises(SubmissionError, match="exactly one"):
@@ -368,7 +370,7 @@ def test_warm_cache_hit_is_bit_identical_and_fast(live_server):
 
     t0 = time.perf_counter()
     warm = client.submit(S27_BENCH,
-                         config={"seed": 9, "checkpoint_interval": 7})
+                         config={"seed": 9, "jobs": 3})
     elapsed = time.perf_counter() - t0
     assert warm["source"] == "cache"
     assert warm["result"] == done["result"]
@@ -407,6 +409,9 @@ def test_http_error_paths(live_server):
     assert excinfo.value.status == 400
     with pytest.raises(ServeError) as excinfo:
         client.submit(S27_BENCH, config={"nope": 1})
+    assert excinfo.value.status == 400
+    with pytest.raises(ServeError) as excinfo:
+        client.submit(S27_BENCH, config={"checkpoint_interval": 4})
     assert excinfo.value.status == 400
 
 

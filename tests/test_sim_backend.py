@@ -261,8 +261,7 @@ def test_session_checkpoint_drop_repack_parity(circuit):
     edited[10] = [1 - v for v in edited[10]]
 
     def drive(name):
-        session = SimSession(circuit, faults, checkpoint_interval=4,
-                             sim_backend=name)
+        session = SimSession(circuit, faults, sim_backend=name)
         answers = [session.detection_times(vectors)]
         answers.append(session.detection_times(vectors[:12]))
         detected = session.detected_mask(vectors)
