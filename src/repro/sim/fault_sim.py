@@ -55,40 +55,59 @@ _KIND_CODE = {
 }
 
 
-def compile_injection_masks(faults: Sequence[Fault], index):
-    """Build injection masks for a packed fault list: stem masks by net,
-    branch masks by (consumer, pin).  Each mask is
-    ``(force_ones, force_zeros)`` with bit ``i + 1`` owned by
-    ``faults[i]``.  Shared by every backend so the machine/bit
-    convention cannot drift between implementations."""
-    stem: Dict[str, List[int]] = {}
-    branch: Dict[Tuple[str, int], List[int]] = {}
+def group_fault_sites(faults: Sequence[Fault], index):
+    """Group a packed fault list by injection site: stem sites by net,
+    branch sites by (consumer, pin).  Each site is
+    ``(ones, zeros)``, the machine bits forced to 1 (SA1 faults) and
+    to 0 (SA0 faults), with bit ``i + 1`` owned by ``faults[i]``.
+    Every backend builds its injection form from this grouping, so the
+    machine/bit convention cannot drift between implementations."""
+    stem: Dict[str, Tuple[List[int], List[int]]] = {}
+    branch: Dict[Tuple[str, int], Tuple[List[int], List[int]]] = {}
     for position, fault in enumerate(faults):
-        bit = 1 << (position + 1)
         if fault.kind == STEM:
             if fault.net not in index:
                 raise ValueError(f"fault on unknown net: {fault}")
-            entry = stem.setdefault(fault.net, [0, 0])
+            entry = stem.setdefault(fault.net, ([], []))
         elif fault.kind == BRANCH:
-            entry = branch.setdefault((fault.consumer, fault.pin), [0, 0])
+            entry = branch.setdefault((fault.consumer, fault.pin), ([], []))
         else:  # pragma: no cover - Fault validates kinds
             raise ValueError(f"bad fault kind {fault.kind!r}")
-        # entry[0] accumulates force-to-1 bits (SA1 faults),
-        # entry[1] accumulates force-to-0 bits (SA0 faults).
-        entry[fault.stuck_at ^ 1] |= bit
-    stem_masks = {net: (m[0], m[1]) for net, m in stem.items()}
-    branch_masks = {key: (m[0], m[1]) for key, m in branch.items()}
-    return stem_masks, branch_masks
+        entry[fault.stuck_at ^ 1].append(position + 1)
+    return stem, branch
+
+
+def _site_masks(sites) -> Dict:
+    masks = {}
+    for key, (ones, zeros) in sites.items():
+        m1 = m0 = 0
+        for bit in ones:
+            m1 |= 1 << bit
+        for bit in zeros:
+            m0 |= 1 << bit
+        masks[key] = (m1, m0)
+    return masks
+
+
+def compile_injection_masks(faults: Sequence[Fault], index):
+    """Injection masks for a packed fault list: stem masks by net,
+    branch masks by (consumer, pin), each ``(force_ones, force_zeros)``
+    over the sites of :func:`group_fault_sites`."""
+    stem, branch = group_fault_sites(faults, index)
+    return _site_masks(stem), _site_masks(branch)
 
 
 def iter_fault_positions(mask: int):
     """Yield 0-based fault-list indices for the set machine bits of a
-    detection mask (bit 0, the fault-free machine, is never yielded)."""
-    mask &= ~1
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 2
-        mask ^= low
+    detection mask, ascending (bit 0, the fault-free machine, is never
+    yielded).  The mask is scanned once as a binary string, O(bits) in
+    all, where clearing low bits one at a time costs O(bits) a step."""
+    digits = bin(mask & ~1)
+    top = len(digits) - 2  # digits[j] holds bit top + 1 - j
+    j = digits.rfind("1", 2)
+    while j > 1:
+        yield top - j
+        j = digits.rfind("1", 2, j)
 
 
 class CompiledTopology:

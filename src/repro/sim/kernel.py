@@ -4,11 +4,12 @@
 :class:`~repro.sim.fault_sim.PackedFaultSimulator` that stores the
 three-valued ``(ones, zeros)`` planes as a ``(nets, 2, words)`` uint64
 numpy matrix instead of per-net Python integers, and evaluates the
-netlist through a *compiled program*: flat gate/slot/force tables in
-topological order, interpreted by a small C step engine.  The engine is
-compiled once per machine from the embedded source below (``cc -O3``),
-loaded with ``ctypes`` and cached under the user cache dir keyed by a
-source digest: one C call per step (or one per *sequence* via
+netlist through a *compiled program*: flat gate/slot tables in
+topological order plus sparse force records, interpreted by a small C
+step engine.  The engine is compiled once per machine from the embedded
+source below (``cc -O3``), loaded with ``ctypes`` and cached under the
+user cache dir keyed by a digest of the source, the compiler flags and
+the host CPU: one C call per step (or one per *sequence* via
 ``run_block``), zero Python dispatch in the inner loop.  Gates of any
 fanin run on it.  Without a working C compiler the simulator cannot be
 built; :func:`~repro.sim.backend.resolve_concrete_backend` then keeps
@@ -22,9 +23,12 @@ order are bit-identical to the packed reference — the parity tests in
 Compilation is keyed on the circuit fingerprint: the fault-independent
 tables are cached on the circuit object (``circuit._vector_topology``),
 mirroring ``compiled_topology``, so fault-dropping repacks and the
-parallel engine's workers reuse them for free.  Per-fault-list force
-rows are rebuilt per instance, exactly like the packed simulator's
-injection masks.
+parallel engine's workers reuse them for free.  Fault injection is
+sparse: each fault site becomes one ``(word, set1, set0)`` record per
+plane word its faults touch (a stuck-at fault sets one bit of one
+word), built per instance from the same site grouping as the packed
+simulator's injection masks.  Storage is O(faults), not O(sites × W),
+and a step patches only the forced words.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import subprocess
 import tempfile
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -44,7 +49,7 @@ from ..faults.model import Fault
 from ..obs import context as obs
 from ..obs import ledger
 from .fault_sim import (
-    FaultSimResult, compile_injection_masks, compiled_topology,
+    FaultSimResult, compiled_topology, group_fault_sites,
     iter_fault_positions,
 )
 from .logic_sim import vector_from_string
@@ -60,21 +65,68 @@ typedef int64_t i64;
 /* gate record: kind, out_net, slot_off, nin, out_force */
 enum { K_AND, K_NAND, K_OR, K_NOR, K_NOT, K_BUF, K_XOR, K_XNOR, K_MUX };
 
-static void apply_force(u64 *o, u64 *z, const u64 *f, i64 W) {
-    const u64 *f1 = f, *f0 = f + W;
-    for (i64 w = 0; w < W; w++) {
-        u64 a = (o[w] | f1[w]) & ~f0[w];
-        u64 b = (z[w] | f0[w]) & ~f1[w];
-        o[w] = a; z[w] = b;
+/* force record: the bits one fault site forces in one plane word.  A
+   site's records are consecutive, ascending by word, and end with a
+   record whose word is -1; a table's force column holds the index of
+   the site's first record, or -1 for an unfaulted site. */
+typedef struct { i64 word; u64 set1, set0; } frec;
+
+static inline void force_word(u64 *o, u64 *z, const frec *r) {
+    u64 a = (*o | r->set1) & ~r->set0;
+    u64 b = (*z | r->set0) & ~r->set1;
+    *o = a; *z = b;
+}
+
+static void apply_force(u64 *o, u64 *z, const frec *r) {
+    for (; r->word >= 0; r++) force_word(o + r->word, z + r->word, r);
+}
+
+/* the site's record for word w, or 0 */
+static const frec *find_word(const frec *r, i64 w) {
+    while (r->word >= 0 && r->word < w) r++;
+    return r->word == w ? r : 0;
+}
+
+/* one word of one gate from its per-pin input words v1[k], v0[k] */
+static void eval_word(i32 kind, i64 nin, const u64 *v1, const u64 *v0,
+                      u64 *ro, u64 *rz) {
+    u64 a1 = v1[0], a0 = v0[0];
+    switch (kind) {
+    case K_AND: case K_NAND:
+        for (i64 k = 1; k < nin; k++) { a1 &= v1[k]; a0 |= v0[k]; }
+        a1 &= ~a0;
+        break;
+    case K_OR: case K_NOR:
+        for (i64 k = 1; k < nin; k++) { a1 |= v1[k]; a0 &= v0[k]; }
+        a0 &= ~a1;
+        break;
+    case K_NOT:
+        *ro = a0; *rz = a1; return;
+    case K_XOR: case K_XNOR:
+        for (i64 k = 1; k < nin; k++) {
+            u64 no = (a1 & v0[k]) | (a0 & v1[k]);
+            u64 nz = (a1 & v1[k]) | (a0 & v0[k]);
+            a1 = no; a0 = nz;
+        }
+        break;
+    case K_MUX:
+        a1 = (v0[0] & v1[1]) | (v1[0] & v1[2]) | (v1[1] & v1[2]);
+        a0 = (v0[0] & v0[1]) | (v1[0] & v0[2]) | (v0[1] & v0[2]);
+        break;
+    }
+    if (kind == K_NAND || kind == K_NOR || kind == K_XNOR) {
+        *ro = a0; *rz = a1;
+    } else {
+        *ro = a1; *rz = a0;
     }
 }
 
-/* ins: caller-owned room for 2 * (widest fanin) input-row pointers,
-   so gates of any arity run here */
+/* scratch: caller-owned room for 2 * (widest fanin) words, so gates of
+   any arity run here */
 static void step_core(
     u64 *planes, i64 W, const u64 *fullm,
     const i32 *gates, i64 ngates, const i32 *slots,
-    const u64 *forces, u64 *scratch, const u64 **ins,
+    const frec *recs, u64 *scratch,
     const uint8_t *vec, const i32 *pis, i64 npis,
     const i32 *pos, i64 npos,
     const i32 *ffs, i64 nff, const u64 *state, u64 *newstate,
@@ -88,13 +140,13 @@ static void step_core(
         if (v == 1) { memcpy(o, fullm, W * 8); memset(z, 0, W * 8); }
         else if (v == 0) { memset(o, 0, W * 8); memcpy(z, fullm, W * 8); }
         else { memset(o, 0, W * 8); memset(z, 0, W * 8); }
-        if (fi >= 0) apply_force(o, z, forces + fi * R, W);
+        if (fi >= 0) apply_force(o, z, recs + fi);
     }
     for (i64 f = 0; f < nff; f++) {
         i64 net = ffs[4*f]; i32 fi = ffs[4*f + 2];
         u64 *o = planes + net * R, *z = o + W;
         memcpy(o, state + f * R, R * 8);
-        if (fi >= 0) apply_force(o, z, forces + fi * R, W);
+        if (fi >= 0) apply_force(o, z, recs + fi);
     }
     for (i64 g = 0; g < ngates; g++) {
         const i32 *gr = gates + g * 5;
@@ -102,50 +154,40 @@ static void step_core(
         i64 out = gr[1];
         const i32 *sl = slots + (i64)gr[2] * 2;
         i64 nin = gr[3];
-        const u64 **in1 = ins, **in0 = ins + nin;
-        for (i64 k = 0; k < nin; k++) {
-            i64 src = sl[2*k]; i32 fi = sl[2*k + 1];
-            const u64 *o = planes + src * R, *z = o + W;
-            if (fi >= 0) {
-                u64 *so = scratch + k * R, *sz = so + W;
-                memcpy(so, o, W * 8); memcpy(sz, z, W * 8);
-                apply_force(so, sz, forces + fi * R, W);
-                o = so; z = sz;
-            }
-            in1[k] = o; in0[k] = z;
-        }
         u64 *ro = planes + out * R, *rz = ro + W;
-        /* inverting kinds accumulate straight into the swapped target
-           rows, mirroring the packed formulas without a swap pass */
+        /* the whole row from the unforced inputs; inverting kinds
+           accumulate straight into the swapped target rows, mirroring
+           the packed formulas without a swap pass */
         u64 *ao = ro, *az = rz;
         if (kind == K_NAND || kind == K_NOR || kind == K_XNOR) {
             ao = rz; az = ro;
         }
+        const u64 *f1 = planes + sl[0] * R, *f0 = f1 + W;
         switch (kind) {
         case K_AND: case K_NAND: {
-            memcpy(ao, in1[0], W * 8); memcpy(az, in0[0], W * 8);
+            memcpy(ao, f1, W * 8); memcpy(az, f0, W * 8);
             for (i64 k = 1; k < nin; k++) {
-                const u64 *b1 = in1[k], *b0 = in0[k];
+                const u64 *b1 = planes + sl[2*k] * R, *b0 = b1 + W;
                 for (i64 w = 0; w < W; w++) { ao[w] &= b1[w]; az[w] |= b0[w]; }
             }
             for (i64 w = 0; w < W; w++) ao[w] &= ~az[w];
             break; }
         case K_OR: case K_NOR: {
-            memcpy(ao, in1[0], W * 8); memcpy(az, in0[0], W * 8);
+            memcpy(ao, f1, W * 8); memcpy(az, f0, W * 8);
             for (i64 k = 1; k < nin; k++) {
-                const u64 *b1 = in1[k], *b0 = in0[k];
+                const u64 *b1 = planes + sl[2*k] * R, *b0 = b1 + W;
                 for (i64 w = 0; w < W; w++) { ao[w] |= b1[w]; az[w] &= b0[w]; }
             }
             for (i64 w = 0; w < W; w++) az[w] &= ~ao[w];
             break; }
         case K_NOT:
-            memcpy(ro, in0[0], W * 8); memcpy(rz, in1[0], W * 8); break;
+            memcpy(ro, f0, W * 8); memcpy(rz, f1, W * 8); break;
         case K_BUF:
-            memcpy(ro, in1[0], W * 8); memcpy(rz, in0[0], W * 8); break;
+            memcpy(ro, f1, W * 8); memcpy(rz, f0, W * 8); break;
         case K_XOR: case K_XNOR: {
-            memcpy(ao, in1[0], W * 8); memcpy(az, in0[0], W * 8);
+            memcpy(ao, f1, W * 8); memcpy(az, f0, W * 8);
             for (i64 k = 1; k < nin; k++) {
-                const u64 *b1 = in1[k], *b0 = in0[k];
+                const u64 *b1 = planes + sl[2*k] * R, *b0 = b1 + W;
                 for (i64 w = 0; w < W; w++) {
                     u64 no = (ao[w] & b0[w]) | (az[w] & b1[w]);
                     u64 nz = (ao[w] & b1[w]) | (az[w] & b0[w]);
@@ -154,57 +196,87 @@ static void step_core(
             }
             break; }
         case K_MUX: {
-            const u64 *s1 = in1[0], *s0 = in0[0];
-            const u64 *a1 = in1[1], *a0 = in0[1];
-            const u64 *b1 = in1[2], *b0 = in0[2];
+            const u64 *s1 = f1, *s0 = f0;
+            const u64 *a1 = planes + sl[2] * R, *a0 = a1 + W;
+            const u64 *b1 = planes + sl[4] * R, *b0 = b1 + W;
             for (i64 w = 0; w < W; w++) {
                 ro[w] = (s0[w] & a1[w]) | (s1[w] & b1[w]) | (a1[w] & b1[w]);
                 rz[w] = (s0[w] & a0[w]) | (s1[w] & b0[w]) | (a0[w] & b0[w]);
             }
             break; }
         }
+        /* then re-evaluate each word a pin force touches, with every
+           pin's forces for that word applied */
+        for (i64 k = 0; k < nin; k++) {
+            i32 fk = sl[2*k + 1];
+            if (fk < 0) continue;
+            u64 *v1 = scratch, *v0 = scratch + nin;
+            for (const frec *r = recs + fk; r->word >= 0; r++) {
+                i64 w = r->word;
+                for (i64 j = 0; j < nin; j++) {
+                    const u64 *o = planes + sl[2*j] * R;
+                    v1[j] = o[w]; v0[j] = o[W + w];
+                    i32 fj = sl[2*j + 1];
+                    if (fj >= 0) {
+                        const frec *q = j == k ? r : find_word(recs + fj, w);
+                        if (q) force_word(v1 + j, v0 + j, q);
+                    }
+                }
+                eval_word(kind, nin, v1, v0, ro + w, rz + w);
+            }
+        }
         i32 ofi = gr[4];
-        if (ofi >= 0) apply_force(ro, rz, forces + (i64)ofi * R, W);
+        if (ofi >= 0) apply_force(ro, rz, recs + ofi);
     }
     memset(det, 0, W * 8);
     for (i64 p = 0; p < npos; p++) {
         i64 net = pos[2*p]; i32 fi = pos[2*p + 1];
         const u64 *o = planes + net * R, *z = o + W;
-        if (fi >= 0) {
-            u64 *so = scratch, *sz = so + W;
-            memcpy(so, o, W * 8); memcpy(sz, z, W * 8);
-            apply_force(so, sz, forces + fi * R, W);
-            o = so; z = sz;
+        /* forces never touch bit 0, the fault-free machine */
+        int good1 = (int)(o[0] & 1);
+        if (!good1 && !(z[0] & 1)) continue;
+        const u64 *opp = good1 ? z : o;
+        if (fi < 0) {
+            for (i64 w = 0; w < W; w++) det[w] |= opp[w];
+            continue;
         }
-        if (o[0] & 1) { for (i64 w = 0; w < W; w++) det[w] |= z[w]; }
-        else if (z[0] & 1) { for (i64 w = 0; w < W; w++) det[w] |= o[w]; }
+        const frec *r = recs + fi;
+        for (i64 w = 0; w < W; w++) {
+            if (r->word == w) {
+                u64 v1 = o[w], v0 = z[w];
+                force_word(&v1, &v0, r++);
+                det[w] |= good1 ? v0 : v1;
+            } else {
+                det[w] |= opp[w];
+            }
+        }
     }
     det[0] &= ~(u64)1;
     for (i64 f = 0; f < nff; f++) {
         i64 net = ffs[4*f + 1]; i32 fi = ffs[4*f + 3];
         u64 *so = newstate + f * R, *sz = so + W;
         memcpy(so, planes + net * R, R * 8);
-        if (fi >= 0) apply_force(so, sz, forces + fi * R, W);
+        if (fi >= 0) apply_force(so, sz, recs + fi);
     }
 }
 
 void repro_step(
     u64 *planes, i64 W, const u64 *fullm,
     const i32 *gates, i64 ngates, const i32 *slots,
-    const u64 *forces, u64 *scratch, const u64 **ins,
+    const frec *recs, u64 *scratch,
     const uint8_t *vec, const i32 *pis, i64 npis,
     const i32 *pos, i64 npos,
     const i32 *ffs, i64 nff, const u64 *state, u64 *newstate,
     u64 *det)
 {
-    step_core(planes, W, fullm, gates, ngates, slots, forces, scratch, ins,
+    step_core(planes, W, fullm, gates, ngates, slots, recs, scratch,
               vec, pis, npis, pos, npos, ffs, nff, state, newstate, det);
 }
 
 void repro_run_block(
     u64 *planes, i64 W, const u64 *fullm,
     const i32 *gates, i64 ngates, const i32 *slots,
-    const u64 *forces, u64 *scratch, const u64 **ins,
+    const frec *recs, u64 *scratch,
     const uint8_t *vecs, i64 nvec, const i32 *pis, i64 npis,
     const i32 *pos, i64 npos,
     const i32 *ffs, i64 nff, u64 *state, u64 *state_scratch,
@@ -212,8 +284,8 @@ void repro_run_block(
 {
     u64 *sin = state, *sout = state_scratch;
     for (i64 t = 0; t < nvec; t++) {
-        step_core(planes, W, fullm, gates, ngates, slots, forces, scratch,
-                  ins, vecs + t * npis, pis, npis, pos, npos, ffs, nff,
+        step_core(planes, W, fullm, gates, ngates, slots, recs, scratch,
+                  vecs + t * npis, pis, npis, pos, npos, ffs, nff,
                   sin, sout, dets + t * W);
         u64 *tmp = sin; sin = sout; sout = tmp;
     }
@@ -232,19 +304,55 @@ def _cache_dir() -> str:
     return os.path.join(base, "repro-atpg")
 
 
+#: Compiler flag sets tried in order; the first that builds is cached.
+_CC_FLAG_SETS = (("-march=native", "-funroll-loops"), ())
+
+#: /proc/cpuinfo keys that identify the instruction set a
+#: ``-march=native`` build may use (x86 and ARM spellings).
+_CPU_KEYS = ("vendor_id", "cpu family", "model", "model name", "flags",
+             "CPU implementer", "CPU architecture", "CPU variant",
+             "CPU part", "Features")
+
+
+def _cpu_identity() -> str:
+    """The host CPU as the native build sees it: the machine type plus
+    the first processor's model and feature lines from /proc/cpuinfo
+    (read directly, so no subprocess joins the load path)."""
+    lines = [platform.machine()]
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if not line.strip():
+                    break  # end of the first processor's block
+                key, _, value = line.partition(":")
+                if key.strip() in _CPU_KEYS:
+                    lines.append(f"{key.strip()}:{value.strip()}")
+    except OSError:
+        pass
+    return "\n".join(lines)
+
+
+def _kernel_so_name(cpu: str) -> str:
+    """Cached library file name: a digest of the C source, the flag
+    sets and ``cpu``, so a cache shared between hosts never loads a
+    build made for another instruction set."""
+    key = "\0".join([_C_SOURCE, repr(_CC_FLAG_SETS), cpu])
+    return f"simkernel-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so"
+
+
 def _compile_kernel_library() -> Optional[str]:
     """Compile the embedded C source into a cached shared object;
     returns its path, or ``None`` when no working C compiler exists."""
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+    name = _kernel_so_name(_cpu_identity())
     cache = _cache_dir()
-    so_path = os.path.join(cache, f"simkernel-{digest}.so")
+    so_path = os.path.join(cache, name)
     if os.path.exists(so_path):
         return so_path
     try:
         os.makedirs(cache, exist_ok=True)
     except OSError:
         cache = tempfile.gettempdir()
-        so_path = os.path.join(cache, f"repro-simkernel-{digest}.so")
+        so_path = os.path.join(cache, f"repro-{name}")
         if os.path.exists(so_path):
             return so_path
     src_fd, src_path = tempfile.mkstemp(suffix=".c", dir=cache)
@@ -253,9 +361,9 @@ def _compile_kernel_library() -> Optional[str]:
         with os.fdopen(src_fd, "w") as fh:
             fh.write(_C_SOURCE)
         base = ["cc", "-shared", "-fPIC", "-O3", "-o", tmp_so, src_path]
-        for extra in (["-march=native", "-funroll-loops"], []):
+        for extra in _CC_FLAG_SETS:
             try:
-                proc = subprocess.run(base[:4] + extra + base[4:],
+                proc = subprocess.run(base[:4] + list(extra) + base[4:],
                                       capture_output=True, timeout=120)
             except (OSError, subprocess.TimeoutExpired):
                 return None
@@ -295,12 +403,13 @@ class LevelizedTopology:
     """Fault-independent compiled program for one circuit.
 
     Flat int32 tables in topological order (the C interpreter's input,
-    force columns left at -1).  Cached on the circuit keyed by its
-    content fingerprint, like
+    force columns left at -1), and ``gate_slots``, each gate's
+    ``(row, slot_offset, fanin)`` by output net.  Cached on the circuit
+    keyed by its content fingerprint, like
     :func:`~repro.sim.fault_sim.compiled_topology`.
     """
 
-    __slots__ = ("num_nets", "gates", "slots", "max_arity")
+    __slots__ = ("num_nets", "gates", "slots", "max_arity", "gate_slots")
 
     def __init__(self, circuit: Circuit):
         topo = compiled_topology(circuit)
@@ -308,10 +417,13 @@ class LevelizedTopology:
         gates: List[List[int]] = []
         slots: List[List[int]] = []
         max_arity = 1
-        for code, out_idx, in_idx in topo.gates:
+        self.gate_slots = {}
+        for gate, (code, out_idx, in_idx) in zip(circuit.topo_gates,
+                                                 topo.gates):
             soff = len(slots)
             for i in in_idx:
                 slots.append([i, -1])
+            self.gate_slots[gate.output] = (len(gates), soff, len(in_idx))
             gates.append([code, out_idx, soff, len(in_idx), -1])
             max_arity = max(max_arity, len(in_idx))
         self.gates = np.asarray(gates, dtype=np.int32).reshape(-1, 5)
@@ -332,6 +444,11 @@ def levelized_topology(circuit: Circuit) -> LevelizedTopology:
     topo = LevelizedTopology(circuit)
     circuit._vector_topology = (fingerprint, topo)
     return topo
+
+
+#: Word of the record that ends a fault site's run (-1 as int64).
+_END_WORD = (1 << 64) - 1
+_END_RECORD = (_END_WORD, 0, 0)
 
 
 def _int_to_words(value: int, words: int) -> np.ndarray:
@@ -375,54 +492,59 @@ class VectorFaultSimulator:
         self.W = W
         self._full_words = _int_to_words(self.full_mask, W)
 
-        stem_masks, branch_masks = compile_injection_masks(
-            self.faults, topo.index)
+        stem, branch = group_fault_sites(self.faults, topo.index)
+        records: List[Tuple[int, int, int]] = []
 
-        force_rows: List[np.ndarray] = []
-
-        def fidx(mask) -> int:
-            if mask is None:
+        def fidx(site) -> int:
+            """Append ``site``'s force records; the C tables' index."""
+            if site is None:
                 return -1
-            force_rows.append(np.concatenate(
-                [_int_to_words(mask[0], W), _int_to_words(mask[1], W)]))
-            return len(force_rows) - 1
+            start = len(records)
+            words = {}
+            for plane, bits in enumerate(site):
+                for bit in bits:
+                    entry = words.setdefault(bit >> 6, [0, 0])
+                    entry[plane] |= 1 << (bit & 63)
+            records.extend((w, s1, s0)
+                           for w, (s1, s0) in sorted(words.items()))
+            records.append(_END_RECORD)
+            return start
 
         self._pis = np.asarray(
-            [[i, fidx(stem_masks.get(n))] for i, n in topo.pi],
+            [[i, fidx(stem.get(n))] for i, n in topo.pi],
             dtype=np.int32).reshape(-1, 2)
         self._pos = np.asarray(
-            [[i, fidx(branch_masks.get((n, 0)))] for i, n in topo.po],
+            [[i, fidx(branch.get((n, 0)))] for i, n in topo.po],
             dtype=np.int32).reshape(-1, 2)
         self._ffs = np.asarray(
-            [[q, d, fidx(stem_masks.get(flop.q)),
-              fidx(branch_masks.get((flop.q, 0)))]
+            [[q, d, fidx(stem.get(flop.q)), fidx(branch.get((flop.q, 0)))]
              for (q, (d, _)), flop in zip(
                  zip(topo.flop_q, topo.flop_d), circuit.flops)],
             dtype=np.int32).reshape(-1, 4)
 
+        # Only faulted gates are visited: the fault-free columns stay -1.
         gates = program.gates.copy()
         slots = program.slots.copy()
-        for gate, rec in zip(circuit.topo_gates, gates):
-            soff = rec[2]
-            for pin in range(rec[3]):
-                slots[soff + pin, 1] = fidx(
-                    branch_masks.get((gate.output, pin)))
-            rec[4] = fidx(stem_masks.get(gate.output))
+        gate_slots = program.gate_slots
+        for net, site in stem.items():
+            entry = gate_slots.get(net)
+            if entry is not None:
+                gates[entry[0], 4] = fidx(site)
+        for (consumer, pin), site in branch.items():
+            entry = gate_slots.get(consumer)
+            if entry is not None and pin < entry[2]:
+                slots[entry[1] + pin, 1] = fidx(site)
         self._gates = gates
         self._slots = slots
-        if force_rows:
-            self._forces = np.stack(force_rows).reshape(-1, 2, W)
-        else:
-            self._forces = np.zeros((1, 2, W), dtype=np.uint64)
+        self._records = np.array(records or [_END_RECORD],
+                                 dtype=np.uint64).reshape(-1, 3)
 
         self.planes = np.zeros((program.num_nets, 2, W), dtype=np.uint64)
         nff = len(self._ffs)
         self._state = np.zeros((nff, 2, W), dtype=np.uint64)
         self._state_scratch = np.zeros_like(self._state)
-        self._scratch = np.zeros((program.max_arity + 1, 2, W),
-                                 dtype=np.uint64)
-        # input-row pointers of the gate being evaluated (C-side only)
-        self._ins = np.zeros(2 * program.max_arity, dtype=np.uintp)
+        # input words of the gate being re-evaluated (C-side only)
+        self._scratch = np.zeros(2 * program.max_arity, dtype=np.uint64)
         self._det = np.zeros(W, dtype=np.uint64)
         self.time = 0
 
@@ -431,7 +553,7 @@ class VectorFaultSimulator:
         self._head_args = (
             p(self.planes), ctypes.c_int64(self.W), p(self._full_words),
             p(self._gates), ctypes.c_int64(len(self._gates)), p(self._slots),
-            p(self._forces), p(self._scratch), p(self._ins))
+            p(self._records), p(self._scratch))
         self._tail_args = (
             p(self._pis), ctypes.c_int64(len(self._pis)),
             p(self._pos), ctypes.c_int64(len(self._pos)),
@@ -439,6 +561,17 @@ class VectorFaultSimulator:
         self._state_ptr = p(self._state)
         self._state_scratch_ptr = p(self._state_scratch)
         self._det_ptr = p(self._det)
+
+    def _force_masks(self, fi: int) -> Tuple[int, int]:
+        """``(force_ones, force_zeros)`` of the site at record ``fi``."""
+        m1 = m0 = 0
+        word, s1, s0 = self._records[fi].tolist()
+        while word != _END_WORD:
+            m1 |= s1 << (64 * word)
+            m0 |= s0 << (64 * word)
+            fi += 1
+            word, s1, s0 = self._records[fi].tolist()
+        return m1, m0
 
     # -- state -----------------------------------------------------------------
 
@@ -475,15 +608,12 @@ class VectorFaultSimulator:
         state, time = token
         kept = np.asarray(list(kept_bits), dtype=np.int64)
         new_w = (len(kept) + 63) // 64
-        src_word = kept >> 6
-        src_bit = (kept & 63).astype(np.uint64)
-        bits = (state[:, :, src_word] >> src_bit) & np.uint64(1)
-        out = np.zeros(state.shape[:2] + (new_w,), dtype=np.uint64)
-        for w in range(new_w):
-            seg = bits[:, :, w * 64:(w + 1) * 64]
-            shifts = np.arange(seg.shape[2], dtype=np.uint64)
-            out[:, :, w] = np.bitwise_or.reduce(seg << shifts, axis=2)
-        return (out, time)
+        bits = np.unpackbits(state.astype("<u8", copy=False).view(np.uint8),
+                             axis=2, bitorder="little")[:, :, kept]
+        out = np.zeros(state.shape[:2] + (new_w * 8,), dtype=np.uint8)
+        packed = np.packbits(bits, axis=2, bitorder="little")
+        out[:, :, :packed.shape[2]] = packed
+        return (out.view("<u8").astype(np.uint64), time)
 
     def machine_state(self, machine: int) -> Tuple[int, ...]:
         """Scalar flip-flop values of one machine (0 = fault-free)."""
@@ -615,8 +745,7 @@ class VectorFaultSimulator:
             ones, zeros = self._net_planes(idx)
             fi = rec[1]
             if fi >= 0:
-                m1 = _words_to_int(self._forces[fi, 0])
-                m0 = _words_to_int(self._forces[fi, 1])
+                m1, m0 = self._force_masks(fi)
                 ones = (ones | m1) & ~m0
                 zeros = (zeros | m0) & ~m1
             if ones & 1:
@@ -711,6 +840,6 @@ class VectorFaultSimulator:
 
     @property
     def plane_bytes(self) -> int:
-        """Bytes held in the uint64 plane/force/state matrices."""
-        return (self.planes.nbytes + self._forces.nbytes
+        """Bytes held in the uint64 plane/force-record/state arrays."""
+        return (self.planes.nbytes + self._records.nbytes
                 + 2 * self._state.nbytes + self._scratch.nbytes)

@@ -48,7 +48,10 @@ from ..envvars import env_number
 from ..faults.model import Fault
 from ..obs import context as obs
 from ..obs import ledger
-from .backend import backend_class, make_backend, resolve_concrete_backend
+from .backend import (
+    backend_class, make_backend, numpy_available, resolve_concrete_backend,
+)
+from .fault_sim import iter_fault_positions
 from .logic_sim import vector_from_string
 
 
@@ -77,6 +80,33 @@ def checkpoint_budget_bytes() -> Optional[float]:
 def _popcount(mask: int) -> int:
     # int.bit_count needs 3.10; the package supports 3.9.
     return bin(mask).count("1")
+
+
+def _bit_scatter(positions: List[int], universe: int):
+    """The internal -> external mask map of one packing, where internal
+    machine ``j + 1`` simulates external fault ``positions[j]`` of a
+    ``universe``-fault list: one vectorised gather through an index
+    array built here, O(words) per mask.  ``None`` without numpy; the
+    session then walks the mask's set bits."""
+    if not numpy_available():
+        return None
+    import numpy as np
+
+    index = np.asarray(positions, dtype=np.intp) + 1
+    live = len(positions)
+    in_bytes = (live + 8) // 8
+    out_bits = (universe + 8) // 8 * 8
+
+    def scatter(mask: int) -> int:
+        bits = np.unpackbits(
+            np.frombuffer(mask.to_bytes(in_bytes, "little"), dtype=np.uint8),
+            bitorder="little")
+        out = np.zeros(out_bits, dtype=np.uint8)
+        out[index] = bits[1:live + 1]
+        return int.from_bytes(
+            np.packbits(out, bitorder="little").tobytes(), "little")
+
+    return scatter
 
 
 class _Checkpoint:
@@ -155,6 +185,7 @@ class SimSession:
         # Internal machine j+1 simulates faults[_live_positions[j]].
         self._live_positions: List[int] = list(range(len(self.faults)))
         self._identity = True  # internal packing == external convention
+        self._scatter = None  # _bit_scatter of a non-identity packing
         self._dropped = 0
         self._live_mask = self.fault_mask
 
@@ -212,13 +243,7 @@ class SimSession:
     def faults_of(self, mask: int) -> List[Fault]:
         """Fault objects covered by an external ``mask``."""
         faults = self.faults
-        result = []
-        mask &= ~1
-        while mask:
-            low = mask & -mask
-            result.append(faults[low.bit_length() - 2])
-            mask ^= low
-        return result
+        return [faults[position] for position in iter_fault_positions(mask)]
 
     @property
     def live_mask(self) -> int:
@@ -235,12 +260,12 @@ class SimSession:
         mask &= ~1
         if self._identity:
             return mask & self._live_mask
+        if self._scatter is not None:
+            return self._scatter(mask) & self._live_mask
         positions = self._live_positions
         out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << (positions[low.bit_length() - 2] + 1)
-            mask ^= low
+        for position in iter_fault_positions(mask):
+            out |= 1 << (positions[position] + 1)
         return out & self._live_mask
 
     # -- fault dropping --------------------------------------------------------
@@ -287,6 +312,8 @@ class SimSession:
         self._sim = self._factory(self.circuit, [faults[i] for i in positions])
         self._live_positions = positions
         self._identity = positions == list(range(len(faults)))
+        self._scatter = (None if self._identity
+                         else _bit_scatter(positions, len(faults)))
         if remap is not None and self._checkpoints:
             old_bit = {p: j + 1 for j, p in enumerate(old_positions)}
             kept_bits = [0] + [old_bit[p] for p in positions]
@@ -315,6 +342,7 @@ class SimSession:
             self._sim = self._factory(self.circuit, list(self.faults))
             self._live_positions = list(range(len(self.faults)))
             self._identity = True
+            self._scatter = None
         self._invalidate()
 
     # -- timeline --------------------------------------------------------------
@@ -445,11 +473,8 @@ class SimSession:
             if newly:
                 seen |= newly
                 remaining &= ~newly
-                scan = newly
-                while scan:
-                    low = scan & -scan
-                    times[faults[low.bit_length() - 2]] = t - 1
-                    scan ^= low
+                for position in iter_fault_positions(newly):
+                    times[faults[position]] = t - 1
             if hook is not None:
                 hook(t, n, len(times))
             # Snapshot on the interval grid, and also exactly at the

@@ -5,11 +5,14 @@ implementation (dual-machine scalar simulation with explicit injection).
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuit import insert_scan, random_circuit, s27, toy_pipeline, toy_seq
 from repro.circuit.gates import ONE, X, ZERO, eval_gate
 from repro.faults import collapse_faults, enumerate_faults, stem_fault
 from repro.sim import LogicSimulator, PackedFaultSimulator
+from repro.sim.fault_sim import iter_fault_positions
 
 from tests.util import random_vectors
 
@@ -275,3 +278,16 @@ class TestSubsetEquivalence:
         for fault in subset:
             assert partial.detection_time.get(fault) == \
                 full.detection_time.get(fault)
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 6000), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32))
+def test_iter_fault_positions_matches_low_bit_walk(width, density, seed):
+    """The string scan yields the set bits above bit 0, ascending,
+    minus one, as the old low-bit walk did, at every width."""
+    rng = random.Random(seed)
+    mask = sum(1 << bit for bit in range(width + 1)
+               if rng.random() < density)
+    expected = [bit - 1 for bit in range(1, width + 1) if mask >> bit & 1]
+    assert list(iter_fault_positions(mask)) == expected

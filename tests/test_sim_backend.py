@@ -247,6 +247,123 @@ def test_backends_agree_on_random_circuits(params, sim_seed):
     assert list(got.detection_time) == list(ref.detection_time)
 
 
+# -- sparse force records: multi-word planes, shared words, wide gates -------
+
+
+def _force_record_circuit(seed, wide_kind, wide_fanin):
+    """A random sequential circuit plus three observed gates that stress
+    the per-word re-evaluation of pin forces: ``dup`` reads one net on
+    both pins, ``wide`` has ``wide_fanin`` (> 64) pins drawn with
+    repetition, and ``mux`` selects by a flip-flop (X until it is
+    initialised) between two copies of one input, so its consensus
+    term decides the output."""
+    base = random_circuit("sparse", 4, 4, 40, seed=seed)
+    rng = random.Random(seed)
+    nets = list(base.inputs) + [f.q for f in base.flops] + \
+        [g.output for g in base.gates]
+    extra = [
+        Gate("dup", rng.choice(("AND", "NAND", "OR", "NOR", "XOR", "XNOR")),
+             (nets[0], nets[0])),
+        Gate("wide", wide_kind,
+             tuple(rng.choice(nets) for _ in range(wide_fanin))),
+        Gate("mux", "MUX", (base.flops[0].q, base.inputs[1],
+                            base.inputs[1])),
+    ]
+    return Circuit(base.name, base.inputs,
+                   list(base.outputs) + ["dup", "wide", "mux"],
+                   list(base.gates) + extra, base.flops)
+
+
+def _sparse_fault_list(circuit, seed):
+    """Every fault of the universe, shuffled, with the faults on
+    ``mux``'s pins moved into word 0 (beside the fault-free machine) and
+    both branch faults of ``dup``'s two pins (on the same net) into
+    one plane word."""
+    from repro.faults import enumerate_faults
+
+    faults = enumerate_faults(circuit)
+    random.Random(seed).shuffle(faults)
+    dup_pins = [f for f in faults if f.consumer == "dup"]
+    assert {f.pin for f in dup_pins} == {0, 1}
+    mux_pins = [f for f in faults if f.consumer == "mux"]
+    rest = mux_pins + [f for f in faults
+                       if f.consumer not in ("dup", "mux")]
+    return rest[:74] + dup_pins + rest[74:]
+
+
+def _state_ints(token):
+    """A vector state token as the packed simulator's ``(ones, zeros)``
+    int pairs."""
+    state, time = token
+    raw = state.astype("<u8").tobytes()
+    wb = state.shape[2] * 8
+    ints = [int.from_bytes(raw[i:i + wb], "little")
+            for i in range(0, len(raw), wb)]
+    return list(zip(ints[::2], ints[1::2])), time
+
+
+@requires_vector
+@settings(max_examples=8, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    wide_kind=st.sampled_from(["AND", "NAND", "OR", "NOR", "XOR", "XNOR"]),
+    wide_fanin=st.integers(65, 90),
+    x_rate=st.sampled_from([0.0, 0.2, 0.5]),
+)
+def test_sparse_forces_match_packed(seed, wide_kind, wide_fanin, x_rate):
+    """Force records patch single words: at W >= 3, with X inputs, two
+    pin faults of one net sharing a word and a > 64-pin gate, step
+    masks, ``run`` detection order and state tokens (also projected
+    onto a narrower packing) equal packed."""
+    circuit = _force_record_circuit(seed, wide_kind, wide_fanin)
+    faults = _sparse_fault_list(circuit, seed)
+    rng = random.Random(seed)
+    vectors = [tuple(2 if rng.random() < x_rate else rng.randint(0, 1)
+                     for _ in circuit.inputs) for _ in range(24)]
+    packed = PackedFaultSimulator(circuit, faults)
+    vector = _vector_sim(circuit, faults)
+    assert vector.W >= 3
+    dup_bits = {(i + 1) >> 6 for i, f in enumerate(faults)
+                if f.consumer == "dup"}
+    assert len(dup_bits) == 1
+    packed.reset()
+    vector.reset()
+    for vec in vectors:
+        assert vector.step(vec) == packed.step(vec)
+        assert _state_ints(vector.save_state()) == packed.save_state()
+        assert vector.detecting_outputs(vector.fault_mask) == \
+            packed.detecting_outputs(packed.fault_mask)
+    kept = [0] + sorted(rng.sample(range(1, len(faults) + 1),
+                                   len(faults) // 3))
+    assert _state_ints(vector.remap_state_token(
+        vector.save_state(), kept)) == \
+        packed.remap_state_token(packed.save_state(), kept)
+    for early_stop in (False, True):
+        ref = PackedFaultSimulator(circuit, faults).run(
+            vectors, stop_when_all_detected=early_stop)
+        got = _vector_sim(circuit, faults).run(
+            vectors, stop_when_all_detected=early_stop)
+        assert list(got.detection_time.items()) == \
+            list(ref.detection_time.items())
+        assert got.num_vectors == ref.num_vectors
+
+
+@requires_vector
+def test_force_storage_is_linear_in_faults():
+    """One record per (site, word) a site touches, plus one end record
+    per site: no per-site row scales with the plane width."""
+    from repro.sim.fault_sim import compiled_topology, group_fault_sites
+
+    circuit = CIRCUITS["scan_mid"]()
+    faults = collapse_faults(circuit) * 4  # a multi-word packing
+    vector = _vector_sim(circuit, faults)
+    assert vector.W >= 4
+    stem, branch = group_fault_sites(faults,
+                                     compiled_topology(circuit).index)
+    sites = len(stem) + len(branch)
+    assert vector._records.nbytes <= 24 * (len(faults) + sites)
+
+
 # -- SimSession: checkpoints, drops, repacks ---------------------------------
 
 
@@ -376,6 +493,34 @@ def test_flop_state_queries_match_packed(num_faults):
         for machine in (0, 1, len(faults) // 2, len(faults)):
             assert vector.machine_state(machine) == \
                 packed.machine_state(machine)
+
+
+def test_kernel_cache_is_keyed_by_cpu(monkeypatch, tmp_path):
+    """A cache shared between hosts never serves a ``-march=native``
+    build to another CPU: a changed CPU identity yields a different
+    library path, and a cached build loads without starting a
+    compiler."""
+    pytest.importorskip("numpy")  # the kernel module itself needs it
+    import platform
+
+    from repro.sim import kernel
+
+    assert kernel._cpu_identity().split("\n")[0] == platform.machine()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("a compiler started on the load path")
+
+    monkeypatch.setattr(kernel.subprocess, "run", no_compiler)
+    paths = []
+    for cpu in ("x86_64\nflags:sse2 avx2", "x86_64\nflags:sse2 avx512f"):
+        monkeypatch.setattr(kernel, "_cpu_identity", lambda cpu=cpu: cpu)
+        path = os.path.join(kernel._cache_dir(), kernel._kernel_so_name(cpu))
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        open(path, "wb").close()
+        assert kernel._compile_kernel_library() == path
+        paths.append(path)
+    assert paths[0] != paths[1]
 
 
 @requires_vector

@@ -10,6 +10,8 @@ cycles.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import FlowConfig, PackedFaultSimulator, SimSession, s27
 from repro.circuit import insert_scan, random_circuit
@@ -17,6 +19,7 @@ from repro.compaction.base import CompactionOracle
 from repro.compaction.omission import omission_compact
 from repro.compaction.restoration import restoration_compact
 from repro.core.pipeline import generation_flow
+from repro.faults import enumerate_faults
 from repro.faults.collapse import collapse_faults
 
 
@@ -159,6 +162,62 @@ class TestFaultDropping:
         dropped = session.drop(detected)
         assert dropped == detected
         assert session.faults_dropped == bin(detected).count("1")
+
+
+def _to_external_by_bits(mask, positions, live_mask):
+    """The original set-bit walk of ``SimSession._to_external``: the
+    oracle for its vectorised gather."""
+    mask &= ~1
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << (positions[low.bit_length() - 2] + 1)
+        mask ^= low
+    return out & live_mask
+
+
+_REMAP_CIRCUIT = insert_scan(
+    random_circuit("remap", 5, 6, 60, seed=31)).circuit
+
+
+class TestExternalRemap:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        ops=st.lists(st.tuples(st.sampled_from(["drop", "restore"]),
+                               st.floats(0.05, 0.9),
+                               st.integers(0, 2**32)),
+                     min_size=1, max_size=6),
+    )
+    def test_gather_equals_bit_walk(self, ops):
+        """Over random drop/repack/restore sequences, the internal ->
+        external map (the gather, and the walk used without numpy)
+        equals the original set-bit walk for random internal masks
+        (dense, sparse, empty, full)."""
+        faults = enumerate_faults(_REMAP_CIRCUIT)
+        session = SimSession(_REMAP_CIRCUIT, faults)
+        for op, fraction, seed in ops:
+            rng = random.Random(seed)
+            if op == "restore":
+                session.restore_dropped()
+            else:
+                live = session.faults_of(session.live_mask)
+                session.drop(session.mask_of(
+                    rng.sample(live, int(len(live) * fraction))))
+            positions = session._live_positions
+            width = len(positions)
+            full = ((1 << (width + 1)) - 1) & ~1
+            for mask in (0, full, rng.getrandbits(width + 1),
+                         rng.getrandbits(width + 1) & rng.getrandbits(
+                             width + 1) & rng.getrandbits(width + 1),
+                         1 << rng.randint(1, max(1, width))):
+                mask &= full | 1
+                expected = _to_external_by_bits(mask, positions,
+                                                session.live_mask)
+                assert session._to_external(mask) == expected
+                # the set-bit walk used where numpy is missing
+                scatter, session._scatter = session._scatter, None
+                assert session._to_external(mask) == expected
+                session._scatter = scatter
 
 
 class TestOmissionPerfGuard:
